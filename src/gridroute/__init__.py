@@ -1,9 +1,10 @@
 """Shortest obstacle-free route planning on occupancy grids.
 
 The pipeline discretizes a region into an occupancy grid, builds the
-obstacle graph of occupied-cell corners, assembles a visibility graph with
-a rotational sweep and runs Dijkstra over it. Multi-stop journeys, altitude
-layer choice and rotated-plane 3D planning extend the planar core.
+obstacle graph of occupied-cell corners and runs A* over a visibility graph
+whose edges come from a rotational sweep, run lazily from the vertices the
+search expands. Multi-stop journeys, altitude layer choice and
+rotated-plane 3D planning extend the planar core.
 """
 
 from .errors import (DegenerateObstacleError, InvalidEndpointError,
@@ -19,15 +20,15 @@ from .obstacle_graph import (ObstacleEdge, ObstacleGraph, ObstacleVertex,
                              marked_vertices)
 from .pathfind import (Path, deflection_points, dijkstra_shortest_path,
                        format_length, merge_collinear, path_from_text,
-                       path_length, path_to_text)
+                       path_length, path_to_text, waypoints_length)
 from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
                       VoxelWorld, choose_layer, parse_voxels, plan2d,
-                      plan_rotated_planes, plan_with_stops,
+                      plan2d_reference, plan_rotated_planes, plan_with_stops,
                       rotated_plane_slice, serialize_voxels)
 from .render import RenderStyle, render_svg
-from .visibility import (VisibilityGraph, brute_force_visible,
-                         build_visibility_graph, classify_pair,
-                         pair_visible_sweep, sweep_order, sweep_visible_set,
+from .visibility import (LazyVisibilityGraph, VisibilityGraph,
+                         brute_force_visible, build_visibility_graph,
+                         classify_pair, sweep_order, sweep_visible_set,
                          visible_diagonal45, visible_horizontal,
                          visible_vertical)
 

@@ -2,7 +2,9 @@
 
 Three scenarios: (a) grid size and obstacle count grow together at 20
 percent occupancy, (b) grid size grows with the obstacle count fixed,
-(c) fixed grid with growing obstacle count. Times are wall-clock medians
+(c) fixed grid with growing obstacle count. The timed pipeline is the
+paper's, ``plan2d_reference``, which builds the full visibility graph; the
+planner's lazy A* answers the same routes. Times are wall-clock medians
 over the configured repetitions; runs are strictly sequential so the
 numbers stay honest.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NoPathError
 from .mapgen import gen_random_map
-from .planner import plan2d
+from .planner import plan2d_reference
 
 SCENARIOS = {
     "a": [(g, g * g // 5) for g in (5, 10, 20, 30, 40, 50, 60, 70, 80)],
@@ -54,8 +56,8 @@ def run_bench(spec: BenchSpec) -> list[dict]:
     """Time the full pipeline at every parameter point of the scenario.
 
     Each point generates its seeded map, then plans corner to corner,
-    timing ``plan2d`` only. Rows carry the median time and the final path
-    length (NaN when the map is unroutable).
+    timing ``plan2d_reference`` only. Rows carry the median time and the
+    final path length (NaN when the map is unroutable).
     """
     points = list(spec.points) if spec.points is not None else scenario_points(spec.scenario)
     rows = []
@@ -67,7 +69,7 @@ def run_bench(spec: BenchSpec) -> list[dict]:
         for _ in range(spec.reps):
             t0 = time.perf_counter()
             try:
-                path = plan2d(grid, source, dest)
+                path = plan2d_reference(grid, source, dest)
                 length = path.length_m
             except NoPathError:
                 length = math.nan

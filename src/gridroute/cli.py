@@ -14,7 +14,8 @@ from .errors import (InvalidEndpointError, MapParseError, NoPathError,
 from .gridmap import parse_map, serialize_map
 from .mapgen import gen_random_map
 from .obstacle_graph import build_obstacle_graph
-from .pathfind import Path, format_length, path_from_text, path_to_text
+from .pathfind import (Path, format_length, path_from_text, path_to_text,
+                       waypoints_length)
 from .planner import (PlanConfig, StaticMapProvider, parse_voxels, plan2d,
                       plan_rotated_planes, plan_with_stops)
 from .render import render_svg
@@ -47,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-case3", action="store_true")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--svg")
-    p.add_argument("--per-pair-sweep", action="store_true")
 
     p3 = sub.add_parser("plan3d", help="plan through a voxel world")
     p3.add_argument("--voxels", required=True)
@@ -89,8 +89,7 @@ def _cmd_plan(args) -> int:
     if args.oracle:
         gobs = build_obstacle_graph(grid)
         gv = build_visibility_graph(gobs, source, dest,
-                                    strict_case3=args.strict_case3,
-                                    per_pair=args.per_pair_sweep)
+                                    strict_case3=args.strict_case3)
         cand = gv.vertices
         oracle = set()
         for i, u in enumerate(cand):
@@ -105,7 +104,7 @@ def _cmd_plan(args) -> int:
         path = plan_with_stops(StaticMapProvider(grid), source, dest,
                                _parse_stops(args.stops), config)
     else:
-        path = plan2d(grid, source, dest, config, per_pair=args.per_pair_sweep)
+        path = plan2d(grid, source, dest, config)
     sys.stdout.write(path_to_text(path))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as f:
@@ -151,13 +150,7 @@ def _cmd_render(args) -> int:
         grid, _, _ = parse_map(f.read())
     with open(args.path, encoding="utf-8") as f:
         waypoints = path_from_text(f.read())
-    if len(waypoints) == 1:
-        path = Path(tuple(waypoints), 0.0)
-    else:
-        import math
-        length = sum(math.hypot(b[0] - a[0], b[1] - a[1])
-                     for a, b in zip(waypoints, waypoints[1:])) * grid.cell_size_m
-        path = Path(tuple(waypoints), length)
+    path = Path(tuple(waypoints), waypoints_length(waypoints, grid.cell_size_m))
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write(render_svg(grid, path))
     return 0

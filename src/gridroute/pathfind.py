@@ -1,10 +1,13 @@
 """Exact shortest paths over the visibility graph and path post-processing.
 
-Dijkstra runs with a lazy-deletion binary heap. Length ties are broken
-deterministically: fewer waypoints first, then the lexicographically
-smallest waypoint sequence, so equal inputs produce identical paths on
-every platform. Consecutive collinear waypoints are merged in the reported
-path; they are not genuine deflections.
+The search is A* with a straight-line heuristic and a lazy-deletion binary
+heap, over either graph kind: planning passes a lazily swept graph, so only
+the vertices the search expands are ever swept, and the full graph remains
+the reference. Length ties are broken deterministically: fewer waypoints
+first, then the lexicographically smallest waypoint sequence, so equal
+inputs produce identical paths on every platform. Consecutive collinear
+waypoints are merged in the reported path; they are not genuine
+deflections.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from heapq import heappop, heappush
 
 from .errors import NoPathError
 from .geometry import Point, cross
-from .visibility import VisibilityGraph
+from .visibility import LazyVisibilityGraph, VisibilityGraph
 
 
 @dataclass(frozen=True)
@@ -50,19 +53,33 @@ def merge_collinear(waypoints) -> list[Point]:
     return out
 
 
+def waypoints_length(waypoints, cell_size_m: float) -> float:
+    """Length in meters of the polyline through ``waypoints``."""
+    return sum(math.hypot(b[0] - a[0], b[1] - a[1])
+               for a, b in zip(waypoints, waypoints[1:])) * cell_size_m
+
+
 def _finish(waypoints: list[Point], cell_size_m: float) -> Path:
     merged = merge_collinear(waypoints)
-    length = sum(math.hypot(b[0] - a[0], b[1] - a[1])
-                 for a, b in zip(merged, merged[1:])) * cell_size_m
-    return Path(tuple(merged), length)
+    return Path(tuple(merged), waypoints_length(merged, cell_size_m))
 
 
-def dijkstra_shortest_path(gv: VisibilityGraph, source: Point, dest: Point) -> Path:
+# The heuristic is the straight-line distance shrunk by this factor, so that
+# float rounding cannot make it overestimate an edge and break consistency.
+_H_SCALE = 1.0 - 1e-9
+
+
+def dijkstra_shortest_path(gv: VisibilityGraph | LazyVisibilityGraph,
+                           source: Point, dest: Point) -> Path:
     """Minimum-length path from source to destination in the visibility graph.
 
-    Raises :class:`NoPathError` when the destination is unreachable. A query
-    with source equal to destination returns a zero-length single-waypoint
-    path.
+    Runs A* with heap entries ``(g + h, g, hops, waypoints)``, where ``h`` is
+    the scaled straight-line distance to the destination. The heuristic is
+    consistent, and among the entries for one vertex ``g`` decides before
+    the tie-breaks, so each vertex is settled with the entry plain Dijkstra
+    would settle it with and the documented tie order is kept. Raises
+    :class:`NoPathError` when the destination is unreachable. A query with
+    source equal to destination returns a zero-length single-waypoint path.
     """
     if source not in gv.vertex_set:
         raise ValueError(f"source {source} is not a graph vertex")
@@ -70,10 +87,13 @@ def dijkstra_shortest_path(gv: VisibilityGraph, source: Point, dest: Point) -> P
         raise ValueError(f"destination {dest} is not a graph vertex")
     if source == dest:
         return Path((source,), 0.0)
-    heap: list[tuple[float, int, tuple[Point, ...]]] = [(0.0, 1, (source,))]
+    scale = _H_SCALE * gv.cell_size_m
+    ex, ey = dest
+    h0 = math.hypot(source[0] - ex, source[1] - ey) * scale
+    heap: list[tuple[float, float, int, tuple[Point, ...]]] = [(h0, 0.0, 1, (source,))]
     finalized: set[Point] = set()
     while heap:
-        dist, hops, wp = heappop(heap)
+        _, dist, hops, wp = heappop(heap)
         v = wp[-1]
         if v in finalized:
             continue
@@ -82,7 +102,9 @@ def dijkstra_shortest_path(gv: VisibilityGraph, source: Point, dest: Point) -> P
             return _finish(list(wp), gv.cell_size_m)
         for q, w in gv.neighbors(v):
             if q not in finalized:
-                heappush(heap, (dist + w, hops + 1, wp + (q,)))
+                g = dist + w
+                heappush(heap, (g + math.hypot(q[0] - ex, q[1] - ey) * scale,
+                                g, hops + 1, wp + (q,)))
     raise NoPathError(f"no route from {source} to {dest}")
 
 

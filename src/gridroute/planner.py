@@ -1,14 +1,18 @@
 """End-to-end planning: the 2D pipeline, multi-stop journeys and the 3D
 plane heuristics.
 
-``plan2d`` composes obstacle-graph construction, visibility-graph assembly
-and Dijkstra. Long journeys are split at caller-chosen stops; each leg is
-planned on the map perceived at the leg's start, so the legs are
-individually optimal while the stop choice stays external. Between
-altitudes, ``choose_layer`` picks the layer with the fewest obstacle cells.
-True 3D shortest paths are out of scope; instead ``plan_rotated_planes``
-slices the voxel world with a fan of planes through the source-destination
-line, plans within each slice and keeps the shortest.
+``plan2d`` builds the obstacle graph, then runs A* over a visibility graph
+whose neighbour lists are swept on demand, so only the vertices the search
+expands are swept. ``plan2d_reference`` runs the paper's pipeline (the full
+visibility graph, then the same search) and returns equal paths; it is the
+oracle in the tests and the pipeline ``gridroute bench`` times. Long
+journeys are split at caller-chosen stops; each leg is planned on the map
+perceived at the leg's start, so the legs are individually optimal while
+the stop choice stays external. Between altitudes, ``choose_layer`` picks
+the layer with the fewest obstacle cells. True 3D shortest paths are out of
+scope; instead ``plan_rotated_planes`` slices the voxel world with a fan of
+planes through the source-destination line, plans within each slice and
+keeps the shortest.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .geometry import Point
 from .gridmap import OccupancyGrid
 from .obstacle_graph import build_obstacle_graph
 from .pathfind import Path, dijkstra_shortest_path
-from .visibility import build_visibility_graph
+from .visibility import LazyVisibilityGraph, build_visibility_graph
 
 Point3 = tuple[float, float, float]
 
@@ -49,25 +53,35 @@ class PlanConfig:
             raise ValueError("plane angle step must be positive")
 
 
-def plan2d(grid: OccupancyGrid, source: Point, dest: Point,
-           config: PlanConfig | None = None, *, per_pair: bool = False,
-           parallel: bool = False) -> Path:
-    """Shortest obstacle-free route on one grid.
-
-    Pipeline: obstacle graph, then visibility graph, then Dijkstra.
-    Deterministic for equal inputs. Source equal to destination yields a
-    zero-length single-waypoint path.
-    """
+def _plan(grid: OccupancyGrid, source: Point, dest: Point, config: PlanConfig | None,
+          make_graph) -> Path:
     config = config or PlanConfig()
     if source == dest:
         if not grid.in_lattice(source):
             raise InvalidEndpointError(f"endpoint {source} outside the corner lattice")
         return Path((source,), 0.0)
     gobs = build_obstacle_graph(grid)
-    gv = build_visibility_graph(gobs, source, dest,
-                                strict_case3=config.strict_case3,
-                                per_pair=per_pair, parallel=parallel)
+    gv = make_graph(gobs, source, dest, strict_case3=config.strict_case3)
     return dijkstra_shortest_path(gv, source, dest)
+
+
+def plan2d(grid: OccupancyGrid, source: Point, dest: Point,
+           config: PlanConfig | None = None) -> Path:
+    """Shortest obstacle-free route on one grid.
+
+    Pipeline: obstacle graph, then A* over a lazily swept visibility graph.
+    Equal to :func:`plan2d_reference` on every input. Deterministic for
+    equal inputs. Source equal to destination yields a zero-length
+    single-waypoint path.
+    """
+    return _plan(grid, source, dest, config, LazyVisibilityGraph)
+
+
+def plan2d_reference(grid: OccupancyGrid, source: Point, dest: Point,
+                     config: PlanConfig | None = None) -> Path:
+    """:func:`plan2d` through the paper's pipeline: obstacle graph, the full
+    visibility graph, then the same search."""
+    return _plan(grid, source, dest, config, build_visibility_graph)
 
 
 class MapProvider(Protocol):

@@ -19,6 +19,11 @@ visible iff it crosses no occupied cell's open interior and shares no
 positive-length overlap with a blocking edge. The sweep is validated against
 it pair by pair in the test suite.
 
+:func:`build_visibility_graph` decides every pair up front, as the paper
+does; :class:`LazyVisibilityGraph` gives the same adjacency but sweeps from
+a vertex only when a search first asks for its neighbours. Both make the
+per-pivot decision through one function.
+
 Endpoint grazing never blocks: drones are small relative to obstacles and
 may pass through corner contacts between separate obstacles.
 """
@@ -26,12 +31,11 @@ may pass through corner contacts between separate obstacles.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import InvalidEndpointError
-from .geometry import Point, SlopeKey, euclid_distance, segments_properly_intersect
+from .geometry import Point, SlopeKey, euclid_distance
 from .gridmap import OccupancyGrid
 from .obstacle_graph import ObstacleGraph
 
@@ -183,9 +187,9 @@ class _PivotPrep:
     pivot's side of each edge line, for every obstacle edge wholly in the
     closed right half-plane that is not collinear with a pivot ray."""
 
-    __slots__ = ("tuples", "khi", "klo", "addr2", "remr2", "add_order")
+    __slots__ = ("tuples", "khi", "klo", "addr2", "remr2")
 
-    def __init__(self, graph: ObstacleGraph, pivot: Point):
+    def __init__(self, graph: ObstacleGraph | _MirroredEdges, pivot: Point):
         px, py = pivot
         eax, eay, ebx, eby = graph._eax, graph._eay, graph._ebx, graph._eby
         keep = (eax >= px) & (ebx >= px)
@@ -212,7 +216,6 @@ class _PivotPrep:
         op = np.sign((bx - ax) * (py - ay) - (by - ay) * (px - ax))
         self.tuples = list(zip(ax.tolist(), ay.tolist(), bx.tolist(), by.tolist(),
                                op.tolist(), self.klo.tolist(), self.khi.tolist()))
-        self.add_order = None  # lazily sorted for the per-pair mode
 
 
 def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
@@ -294,34 +297,6 @@ def sweep_visible_set(pivot: Point, targets, graph: ObstacleGraph,
     return {t for t, f in zip(targets, flags) if f}
 
 
-def pair_visible_sweep(pivot: Point, target: Point, graph: ObstacleGraph,
-                       prep: _PivotPrep | None = None) -> bool:
-    """Single-pair rotational scan, kept for benchmarking against the
-    per-pivot pass.
-
-    Rotates clockwise from the highest slope and tests each edge as it
-    enters the critical list against the pivot-target segment, stopping once
-    the sweep slope drops below the target's. Answers equal
-    :func:`sweep_visible_set`.
-    """
-    if prep is None:
-        prep = _PivotPrep(graph, pivot)
-    if prep.add_order is None:
-        prep.add_order = np.lexsort((prep.addr2, -prep.khi))
-    px, py = pivot
-    kt = (target[1] - py) / (target[0] - px)
-    seg = (pivot, target)
-    khi = prep.khi
-    tuples = prep.tuples
-    for i in prep.add_order.tolist():
-        if khi[i] < kt:
-            break
-        t = tuples[i]
-        if segments_properly_intersect(((t[0], t[1]), (t[2], t[3])), seg):
-            return False
-    return True
-
-
 class VisibilityGraph:
     """Undirected graph over unmarked obstacle vertices plus the endpoints,
     with an edge between every intervisible pair weighted by Euclidean
@@ -363,18 +338,9 @@ class VisibilityGraph:
         return f"VisibilityGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
-                           strict_case3: bool = False, per_pair: bool = False,
-                           parallel: bool = False) -> VisibilityGraph:
-    """Assemble the visibility graph over unmarked vertices plus source and
-    destination.
-
-    Every unordered pair is decided exactly once: the lexicographically
-    smaller point acts as pivot, so all targets lie in its closed right
-    half-plane (points straight above count as vertical pairs). Pairs split
-    into the four cases; generic targets go through one rotational sweep per
-    pivot. ``parallel`` runs pivots on a thread pool with identical results.
-    """
+def _candidates(graph: ObstacleGraph, source: Point, dest: Point) -> list[Point]:
+    """Sorted unmarked obstacle vertices plus both endpoints, after checking
+    the grid size and the endpoints."""
     grid = graph.grid
     if max(grid.cols, grid.rows) >= _COORD_LIMIT:
         raise ValueError("grid too large for exact slope keys")
@@ -385,52 +351,134 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
             raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
     if source == dest:
         raise InvalidEndpointError("source equals destination")
+    return sorted(set(graph.unmarked_vertices()) | {source, dest})
 
-    cand = sorted(set(graph.unmarked_vertices()) | {source, dest})
-    cxa = np.array([c[0] for c in cand], dtype=np.int64)
-    cya = np.array([c[1] for c in cand], dtype=np.int64)
 
-    def pivot_pairs(i: int) -> list[tuple[Point, Point]]:
-        pivot = cand[i]
-        px, py = pivot
-        dx = cxa[i + 1:] - px
-        dy = cya[i + 1:] - py
-        if dx.size == 0:
-            return []
-        visible: list[Point] = []
-        for j in np.nonzero(dx == 0)[0].tolist():
-            t = cand[i + 1 + j]
-            if visible_vertical(pivot, t, graph):
-                visible.append(t)
-        for j in np.nonzero((dy == 0) & (dx > 0))[0].tolist():
-            t = cand[i + 1 + j]
-            if visible_horizontal(pivot, t, graph):
-                visible.append(t)
-        for j in np.nonzero((dx > 0) & (dx == np.abs(dy)))[0].tolist():
-            t = cand[i + 1 + j]
-            if visible_diagonal45(pivot, t, graph, strict=strict_case3):
-                visible.append(t)
-        gen = [cand[i + 1 + j]
-               for j in np.nonzero((dx > 0) & (dy != 0) & (dx != np.abs(dy)))[0].tolist()]
-        if gen:
-            if per_pair:
-                prep = _PivotPrep(graph, pivot)
-                visible.extend(t for t in gen if pair_visible_sweep(pivot, t, graph, prep))
-            else:
-                prep = _PivotPrep(graph, pivot)
-                flags = _sweep_flags(pivot, gen, prep)
-                visible.extend(t for t, f in zip(gen, flags) if f)
-        return [(pivot, t) for t in visible]
+def _coords(points) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([p[0] for p in points], dtype=np.int64),
+            np.array([p[1] for p in points], dtype=np.int64))
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(pivot_pairs, range(len(cand))))
-    else:
-        results = [pivot_pairs(i) for i in range(len(cand))]
 
-    p = grid.cell_size_m
+def _visible_right(graph: ObstacleGraph | _MirroredEdges, pivot: Point,
+                   targets: list[Point], tx: np.ndarray, ty: np.ndarray,
+                   strict_case3: bool) -> list[Point]:
+    """The targets that ``pivot`` sees, for targets in its closed right
+    half-plane whose coordinates are ``tx``/``ty``.
+
+    Same-column, same-row and exact-diagonal targets go through their case
+    tests; the generic ones share one rotational sweep around the pivot.
+    """
+    px, py = pivot
+    dx = tx - px
+    dy = ty - py
+    visible: list[Point] = []
+    for j in np.nonzero(dx == 0)[0].tolist():
+        if visible_vertical(pivot, targets[j], graph):
+            visible.append(targets[j])
+    for j in np.nonzero((dy == 0) & (dx > 0))[0].tolist():
+        if visible_horizontal(pivot, targets[j], graph):
+            visible.append(targets[j])
+    for j in np.nonzero((dx > 0) & (dx == np.abs(dy)))[0].tolist():
+        if visible_diagonal45(pivot, targets[j], graph, strict=strict_case3):
+            visible.append(targets[j])
+    gen = [targets[j]
+           for j in np.nonzero((dx > 0) & (dy != 0) & (dx != np.abs(dy)))[0].tolist()]
+    if gen:
+        flags = _sweep_flags(pivot, gen, _PivotPrep(graph, pivot))
+        visible.extend(t for t, f in zip(gen, flags) if f)
+    return visible
+
+
+def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
+                           strict_case3: bool = False) -> VisibilityGraph:
+    """Assemble the full visibility graph over unmarked vertices plus source
+    and destination, as the paper does.
+
+    Every unordered pair is decided exactly once: the lexicographically
+    smaller point acts as pivot, so all targets lie in its closed right
+    half-plane (points straight above count as vertical pairs). Pairs split
+    into the four cases; generic targets go through one rotational sweep per
+    pivot. Planning uses :class:`LazyVisibilityGraph`, which answers the
+    same adjacency on demand; this builder is its reference and what
+    ``gridroute bench`` times.
+    """
+    cand = _candidates(graph, source, dest)
+    cx, cy = _coords(cand)
+    p = graph.grid.cell_size_m
     edges = {}
-    for pairs in results:
-        for u, v in pairs:
-            edges[(u, v)] = euclid_distance(u, v) * p
+    for i, pivot in enumerate(cand):
+        for t in _visible_right(graph, pivot, cand[i + 1:], cx[i + 1:], cy[i + 1:],
+                                strict_case3):
+            edges[(pivot, t)] = euclid_distance(pivot, t) * p
     return VisibilityGraph(cand, edges, p)
+
+
+class _MirroredEdges:
+    """The obstacle edges mirrored about the vertical axis (x to cols - x),
+    in the flat arrays the rotational sweep reads."""
+
+    __slots__ = ("_eax", "_eay", "_ebx", "_eby")
+
+    def __init__(self, graph: ObstacleGraph):
+        cols = graph.grid.cols
+        self._eax, self._eay = cols - graph._eax, graph._eay
+        self._ebx, self._eby = cols - graph._ebx, graph._eby
+
+
+class LazyVisibilityGraph:
+    """The graph :func:`build_visibility_graph` builds, with each vertex's
+    neighbour list computed the first time it is asked for.
+
+    Same vertices, weights and sorted adjacency as the eager graph, so a
+    search that expands few vertices sweeps from few vertices. Targets to
+    the right of a vertex go through the eager builder's per-pivot decision.
+    Generic targets to the left go through the same decision on the obstacle
+    edges mirrored about the vertical axis (x to cols - x), which is exact
+    because the sweep equals :func:`brute_force_visible`, a symmetric
+    predicate. Same-row and diagonal targets to the left are pivoted on the
+    target, as in the eager builder: the strict case-3 rule is not mirror
+    symmetric.
+    """
+
+    def __init__(self, graph: ObstacleGraph, source: Point, dest: Point, *,
+                 strict_case3: bool = False):
+        cand = _candidates(graph, source, dest)
+        self.vertices: tuple[Point, ...] = tuple(cand)
+        self.vertex_set = frozenset(cand)
+        self.cell_size_m = graph.grid.cell_size_m
+        self._graph = graph
+        self._strict = strict_case3
+        self._cx, self._cy = _coords(cand)
+        self._mirror = _MirroredEdges(graph)
+        self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
+
+    def neighbors(self, v: Point) -> list[tuple[Point, float]]:
+        adj = self._adjacency.get(v)
+        if adj is None:
+            adj = self._adjacency[v] = self._visible_from(v)
+        return adj
+
+    def _visible_from(self, v: Point) -> list[tuple[Point, float]]:
+        cand, graph, strict = self.vertices, self._graph, self._strict
+        vx, vy = v
+        cx, cy = self._cx, self._cy
+        dx, dy = cx - vx, cy - vy
+        right = np.nonzero((dx > 0) | ((dx == 0) & (dy != 0)))[0]
+        seen = _visible_right(graph, v, [cand[j] for j in right.tolist()],
+                              cx[right], cy[right], strict)
+        left = dx < 0
+        cols = graph.grid.cols
+        gen = np.nonzero(left & (dy != 0) & (dx != -np.abs(dy)))[0]
+        # generic targets only, so the sweep is all that reads the mirror
+        mirrored = _visible_right(self._mirror, (cols - vx, vy),
+                                  [(cols - cand[j][0], cand[j][1]) for j in gen.tolist()],
+                                  cols - cx[gen], cy[gen], strict)
+        seen.extend((cols - x, y) for x, y in mirrored)
+        for j in np.nonzero(left & (dy == 0))[0].tolist():
+            if visible_horizontal(cand[j], v, graph):
+                seen.append(cand[j])
+        for j in np.nonzero(left & (dx == -np.abs(dy)))[0].tolist():
+            if visible_diagonal45(cand[j], v, graph, strict=strict):
+                seen.append(cand[j])
+        p = self.cell_size_m
+        return sorted((t, euclid_distance(v, t) * p) for t in seen)

@@ -3,17 +3,20 @@
 Each oracle recomputes an answer from first principles, without touching
 the code path it checks: gift wrapping for hulls, Monte-Carlo sampling for
 rasterization, per-lattice-point recounts for the obstacle graph, all-pairs
-ground-truth visibility, and branch-and-bound enumeration of simple paths.
+ground-truth visibility, branch-and-bound enumeration of simple paths, and
+plain Dijkstra as the reference for the planner's search order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
 from gridroute.geometry import euclid_distance
 from gridroute.gridmap import OccupancyGrid
+from gridroute.pathfind import Path, merge_collinear, waypoints_length
 from gridroute.visibility import VisibilityGraph, brute_force_visible
 
 
@@ -142,3 +145,23 @@ def min_simple_path_length(gv: VisibilityGraph, source, dest) -> float | None:
 
     dfs(source, 0.0)
     return None if math.isinf(best[0]) else best[0]
+
+
+def dijkstra_reference(gv, source, dest) -> Path | None:
+    """Plain Dijkstra with heap key ``(dist, hops, waypoints)``, the tie order
+    the planner documents; None when the destination is unreachable."""
+    heap = [(0.0, 1, (source,))]
+    done = set()
+    while heap:
+        dist, hops, wp = heapq.heappop(heap)
+        v = wp[-1]
+        if v in done:
+            continue
+        done.add(v)
+        if v == dest:
+            merged = merge_collinear(wp)
+            return Path(tuple(merged), waypoints_length(merged, gv.cell_size_m))
+        for q, w in gv.neighbors(v):
+            if q not in done:
+                heapq.heappush(heap, (dist + w, hops + 1, wp + (q,)))
+    return None

@@ -16,7 +16,7 @@ from gridroute.mapgen import SplitMix64, gen_random_map
 from gridroute.obstacle_graph import (blocking_edges, build_obstacle_graph,
                                       marked_vertices)
 from gridroute.pathfind import dijkstra_shortest_path, format_length, path_length
-from gridroute.planner import (PlanConfig, VoxelWorld, plan2d,
+from gridroute.planner import (PlanConfig, VoxelWorld, plan2d, plan2d_reference,
                                plan_rotated_planes, rotated_plane_slice)
 from gridroute.visibility import brute_force_visible, build_visibility_graph
 
@@ -213,7 +213,8 @@ def test_criterion_structural_counts():
 
 
 def test_criterion_determinism(tmp_path, capsys):
-    """Byte-identical generation and planning; parallel equals sequential."""
+    """Byte-identical generation, planning and graph builds; the lazy planner
+    equals the reference pipeline."""
     a = serialize_map(gen_random_map(12, 12, 40, 2024))
     b = serialize_map(gen_random_map(12, 12, 40, 2024))
     assert a == b
@@ -229,10 +230,12 @@ def test_criterion_determinism(tmp_path, capsys):
 
     grid = gen_random_map(14, 14, 60, 31)
     gobs = build_obstacle_graph(grid)
-    seq = build_visibility_graph(gobs, (0, 0), (14, 14))
-    par = build_visibility_graph(gobs, (0, 0), (14, 14), parallel=True)
-    assert seq == par
-    print("ACCEPTANCE determinism: PASS (gen, plan output, parallel build)")
+    first = build_visibility_graph(gobs, (0, 0), (14, 14))
+    again = build_visibility_graph(build_obstacle_graph(grid), (0, 0), (14, 14))
+    assert first == again
+    assert plan2d(grid, (0, 0), (14, 14)) == plan2d_reference(grid, (0, 0), (14, 14))
+    print("ACCEPTANCE determinism: PASS (gen, plan output, graph rebuild, "
+          "lazy plan equals reference)")
 
 
 def test_criterion_rotated_planes():

@@ -76,15 +76,6 @@ def test_plan_with_stops_and_svg(tmp_path, capsys):
     assert svg_out.read_text().startswith("<svg")
 
 
-def test_plan_per_pair_sweep_matches_default(tmp_path, capsys):
-    main(["gen", "--rows", "7", "--cols", "7", "--obstacles", "12",
-          "--seed", "9", "--out", str(tmp_path / "m.txt")])
-    assert main(["plan", "--map", str(tmp_path / "m.txt")]) == 0
-    default_out = capsys.readouterr().out
-    assert main(["plan", "--map", str(tmp_path / "m.txt"), "--per-pair-sweep"]) == 0
-    assert capsys.readouterr().out == default_out
-
-
 def test_plan_deterministic_output(tmp_path, capsys):
     main(["gen", "--rows", "9", "--cols", "9", "--obstacles", "25",
           "--seed", "11", "--out", str(tmp_path / "m.txt")])

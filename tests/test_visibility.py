@@ -7,8 +7,8 @@ from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.visibility import (brute_force_visible, build_visibility_graph,
-                                  classify_pair, pair_visible_sweep,
-                                  sweep_order, sweep_visible_set,
+                                  classify_pair, sweep_order,
+                                  sweep_visible_set,
                                   visible_diagonal45, visible_horizontal,
                                   visible_vertical)
 
@@ -197,29 +197,6 @@ def test_build_matches_oracle_on_seeded_grids():
         gobs = build_obstacle_graph(grid)
         gv = build_visibility_graph(gobs, (0, 0), (cols, rows))
         assert gv.edge_set() == oracle_visibility_edges(grid, gv.vertices), f"seed {seed}"
-
-
-def test_per_pair_mode_matches_per_pivot():
-    for seed in (3, 14, 27):
-        grid = gen_random_map(9, 11, 25, seed)
-        gobs = build_obstacle_graph(grid)
-        a = build_visibility_graph(gobs, (0, 0), (11, 9))
-        b = build_visibility_graph(gobs, (0, 0), (11, 9), per_pair=True)
-        assert a.edge_set() == b.edge_set()
-
-
-def test_pair_visible_sweep_single_pair():
-    grid, gobs = _graph_with([(1, 1)], rows=3, cols=3)
-    assert not pair_visible_sweep((0, 0), (3, 2), gobs)
-    assert pair_visible_sweep((0, 0), (3, 1), gobs)
-
-
-def test_parallel_build_identical():
-    grid = gen_random_map(12, 12, 40, 21)
-    gobs = build_obstacle_graph(grid)
-    seq = build_visibility_graph(gobs, (0, 0), (12, 12))
-    par = build_visibility_graph(gobs, (0, 0), (12, 12), parallel=True)
-    assert seq == par
 
 
 def test_half_plane_roles_swappable():
