@@ -16,8 +16,8 @@ from .mapgen import gen_random_map
 from .obstacle_graph import build_obstacle_graph
 from .pathfind import (Path, format_length, path_from_text, path_to_text,
                        waypoints_length)
-from .planner import (PlanConfig, StaticMapProvider, parse_voxels, plan2d,
-                      plan_rotated_planes, plan_with_stops)
+from .planner import (PlanConfig, StaticMapProvider, _best_plane, parse_voxels,
+                      plan2d, plan_with_stops)
 from .render import render_svg
 from .visibility import brute_force_visible, build_visibility_graph
 
@@ -118,9 +118,7 @@ def _cmd_plan3d(args) -> int:
     config = PlanConfig(plane_count=args.planes, plane_angle_step_deg=args.angle_step)
     s3 = _parse_point3(args.source)
     d3 = _parse_point3(args.dest)
-    path, theta = plan_rotated_planes(world, s3, d3, config)
-    from .planner import rotated_plane_slice
-    sl = rotated_plane_slice(world, s3, d3, theta)
+    path, theta, sl = _best_plane(world, s3, d3, config)
     print(f"theta_deg {theta:g}")
     for x, y in path.waypoints:
         wx, wy, wz = sl.to_world(x, y)

@@ -250,21 +250,6 @@ class PlaneSlice:
                      for i in range(3))
 
 
-def _quad_hits_voxel_interior(quad: np.ndarray, axes: list[np.ndarray],
-                              voxel: tuple[int, int, int]) -> bool:
-    # Separating-axis test between the (closed) planar cell quad and the open
-    # unit cube: interiors meet iff projections overlap strictly on every axis.
-    v = np.array(voxel, dtype=np.float64)
-    for a in axes:
-        proj = quad @ a
-        qlo, qhi = proj.min(), proj.max()
-        blo = float(np.minimum(a, 0.0) @ np.ones(3) + v @ a)
-        bhi = float(np.maximum(a, 0.0) @ np.ones(3) + v @ a)
-        if not (qhi > blo and qlo < bhi):
-            return False
-    return True
-
-
 def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
                         theta_deg: float) -> PlaneSlice:
     """Rasterize one plane containing the source-destination line.
@@ -274,6 +259,16 @@ def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
     touches any occupied voxel's interior (conservative), or when it leaves
     the modeled world box (unmapped space is no-fly). Both endpoints land on
     in-plane lattice corners.
+
+    Cell and voxel meet when the closed cell square and the open unit cube
+    overlap strictly on each of up to 13 separating axes. Only voxels whose
+    centre lies within ``sqrt(3)/2`` of the plane can meet a cell, and each
+    such voxel is paired only with the cells its projected circumscribed
+    disk can reach, plus a one-cell margin, so work and memory grow with
+    cells + near voxels, not with their product. Corners, projections and
+    voxel bounds use the arithmetic of a per-cell, per-voxel test (each
+    cell's corners times an axis, each voxel's own dot product with it), so
+    contacts that only touch are decided the same way.
     """
     s = np.array(s3, dtype=np.float64)
     d = np.array(d3, dtype=np.float64)
@@ -315,7 +310,6 @@ def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
         near = occ_idx[dist < math.sqrt(3.0) / 2.0 + 1e-9]
     else:
         near = occ_idx
-    voxels = [tuple(int(c) for c in v) for v in near]
 
     axes = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
             np.array([0.0, 0.0, 1.0]), np.cross(u, w)]
@@ -326,23 +320,52 @@ def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
             if np.linalg.norm(a) > 1e-12:
                 axes.append(a)
 
-    occ = np.zeros((rows, cols), dtype=bool)
+    # corners of every cell quad, cell (i, j) at row j * cols + i
+    xlo = np.arange(ix0, ix1, dtype=np.float64) * h
+    ylo = np.arange(iy0, iy1, dtype=np.float64) * h
+
+    def corners(x, y):
+        return s + x[None, :, None] * u + y[:, None, None] * w
+
+    quads = np.stack([corners(xlo, ylo), corners(xlo + h, ylo),
+                      corners(xlo + h, ylo + h), corners(xlo, ylo + h)],
+                     axis=2).reshape(rows * cols, 4, 3)
     hi_box = np.array([world.nx, world.ny, world.nz], dtype=np.float64)
-    for j in range(rows):
-        for i in range(cols):
-            xlo, ylo = (i + ix0) * h, (j + iy0) * h
-            quad = np.array([s + xlo * u + ylo * w,
-                             s + (xlo + h) * u + ylo * w,
-                             s + (xlo + h) * u + (ylo + h) * w,
-                             s + xlo * u + (ylo + h) * w])
-            if (quad < -1e-9).any() or (quad > hi_box + 1e-9).any():
-                occ[j, i] = True
-                continue
-            for vox in voxels:
-                if _quad_hits_voxel_interior(quad, axes, vox):
-                    occ[j, i] = True
-                    break
-    grid = OccupancyGrid(rows, cols, cell_size_m=h * world.voxel_size_m, occupied=occ)
+    occ = ((quads < -1e-9) | (quads > hi_box + 1e-9)).any(axis=(1, 2))
+
+    if len(near):
+        # cell window reached by each voxel's projected circumscribed disk
+        r = math.sqrt(3.0) / 2.0 / h
+        rel = near + 0.5 - s
+        cx = rel @ u / h - ix0
+        cy = rel @ w / h - iy0
+        i_lo = np.clip(np.floor(cx - r).astype(np.int64) - 1, 0, cols)
+        i_hi = np.clip(np.floor(cx + r).astype(np.int64) + 2, 0, cols)
+        j_lo = np.clip(np.floor(cy - r).astype(np.int64) - 1, 0, rows)
+        j_hi = np.clip(np.floor(cy + r).astype(np.int64) + 2, 0, rows)
+        width = i_hi - i_lo
+        sizes = width * (j_hi - j_lo)
+        vox = np.repeat(np.arange(len(near)), sizes)
+        k = np.arange(len(vox)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        cell = (j_lo[vox] + k // width[vox]) * cols + i_lo[vox] + k % width[vox]
+
+        # One axis at a time: ``quads @ a`` is each quad's own (4, 3) @ (3,)
+        # product and (1, 3) @ (3, 1) each voxel's own ``v @ a``; one product
+        # over all axes or all voxels would round differently.
+        v = near.astype(np.float64)[:, None, :]
+        ones = np.ones(3)
+        for a in axes:
+            proj = quads @ a
+            va = (v @ a[:, None])[:, 0, 0]
+            blo = np.minimum(a, 0.0) @ ones + va
+            bhi = np.maximum(a, 0.0) @ ones + va
+            keep = ((proj.max(axis=1)[cell] > blo[vox])
+                    & (proj.min(axis=1)[cell] < bhi[vox]))
+            cell, vox = cell[keep], vox[keep]
+        occ[cell] = True
+
+    grid = OccupancyGrid(rows, cols, cell_size_m=h * world.voxel_size_m,
+                         occupied=occ.reshape(rows, cols))
     return PlaneSlice(theta_deg, grid, source2, dest2,
                       origin=tuple(s), axis_u=tuple(u), axis_w=tuple(w),
                       cell=h, offset=(ix0, iy0))
@@ -370,10 +393,17 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
     angle magnitude, then the positive sign (the candidate generated first).
     Raises :class:`NoPathError` when no plane admits a route.
     """
+    path, theta, _ = _best_plane(world, s3, d3, config)
+    return path, theta
+
+
+def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
+                config: PlanConfig | None) -> tuple[Path, float, PlaneSlice]:
+    """:func:`plan_rotated_planes`, also returning the winning slice."""
     config = config or PlanConfig()
     if tuple(s3) == tuple(d3):
         raise ValueError("source and destination coincide")
-    best: tuple[Path, float] | None = None
+    best: tuple[Path, float, PlaneSlice] | None = None
     for theta in plane_angles(config):
         try:
             sl = rotated_plane_slice(world, s3, d3, theta)
@@ -381,7 +411,7 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
         except (NoPathError, InvalidEndpointError):
             continue
         if best is None or path.length_m < best[0].length_m:
-            best = (path, theta)
+            best = (path, theta, sl)
     if best is None:
         raise NoPathError("no candidate plane admits a route")
     return best

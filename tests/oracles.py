@@ -3,8 +3,10 @@
 Each oracle recomputes an answer from first principles, without touching
 the code path it checks: gift wrapping for hulls, Monte-Carlo sampling for
 rasterization, per-lattice-point recounts for the obstacle graph, all-pairs
-ground-truth visibility, branch-and-bound enumeration of simple paths, and
-plain Dijkstra as the reference for the planner's search order.
+ground-truth visibility, branch-and-bound enumeration of simple paths,
+plain Dijkstra as the reference for the planner's search order, the
+per-cell plane slicer as the reference for the vectorised one, and
+sampled points for the plane slicer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from gridroute.geometry import euclid_distance
 from gridroute.gridmap import OccupancyGrid
 from gridroute.pathfind import Path, merge_collinear, waypoints_length
+from gridroute.planner import PlaneSlice, Point3, VoxelWorld
 from gridroute.visibility import VisibilityGraph, brute_force_visible
 
 
@@ -165,3 +168,131 @@ def dijkstra_reference(gv, source, dest) -> Path | None:
             if q not in done:
                 heapq.heappush(heap, (dist + w, hops + 1, wp + (q,)))
     return None
+
+
+def _quad_hits_voxel_interior(quad: np.ndarray, axes: list[np.ndarray],
+                              voxel: tuple[int, int, int]) -> bool:
+    # Separating-axis test between the (closed) planar cell quad and the open
+    # unit cube: interiors meet iff projections overlap strictly on every axis.
+    v = np.array(voxel, dtype=np.float64)
+    for a in axes:
+        proj = quad @ a
+        qlo, qhi = proj.min(), proj.max()
+        blo = float(np.minimum(a, 0.0) @ np.ones(3) + v @ a)
+        bhi = float(np.maximum(a, 0.0) @ np.ones(3) + v @ a)
+        if not (qhi > blo and qlo < bhi):
+            return False
+    return True
+
+
+def slice_reference(world: VoxelWorld, s3: Point3, d3: Point3,
+                    theta_deg: float) -> PlaneSlice:
+    """Reference for :func:`gridroute.planner.rotated_plane_slice`: the same
+    separating-axis test, run per cell and per near voxel in Python.
+
+    Rasterize one plane containing the source-destination line.
+
+    The plane is the vertical reference plane through the line, rotated by
+    ``theta_deg`` about the line. A planar cell is occupied when its square
+    touches any occupied voxel's interior (conservative), or when it leaves
+    the modeled world box (unmapped space is no-fly). Both endpoints land on
+    in-plane lattice corners.
+    """
+    s = np.array(s3, dtype=np.float64)
+    d = np.array(d3, dtype=np.float64)
+    delta = d - s
+    length = float(np.linalg.norm(delta))
+    if length == 0.0:
+        raise ValueError("source and destination coincide")
+    u = delta / length
+    zref = np.array([0.0, 0.0, 1.0])
+    w0 = zref - np.dot(zref, u) * u
+    if np.linalg.norm(w0) < 1e-12:
+        xref = np.array([1.0, 0.0, 0.0])
+        w0 = xref - np.dot(xref, u) * u
+    w0 /= np.linalg.norm(w0)
+    th = math.radians(theta_deg)
+    w = w0 * math.cos(th) + np.cross(u, w0) * math.sin(th)
+
+    cols_line = max(1, math.ceil(length - 1e-9))
+    h = length / cols_line  # in-plane cell edge, in voxel units
+
+    box = np.array([(x, y, z)
+                    for x in (0, world.nx) for y in (0, world.ny) for z in (0, world.nz)],
+                   dtype=np.float64)
+    px = (box - s) @ u / h
+    py = (box - s) @ w / h
+    ix0, ix1 = math.floor(px.min()), math.ceil(px.max())
+    iy0, iy1 = math.floor(py.min()), math.ceil(py.max())
+    cols = ix1 - ix0
+    rows = iy1 - iy0
+    source2: Point = (-ix0, -iy0)
+    dest2: Point = (-ix0 + cols_line, -iy0)
+
+    # voxels close enough to the plane to possibly touch a cell
+    occ_idx = np.argwhere(world.occupied)
+    if occ_idx.size:
+        centers = occ_idx + 0.5
+        normal = np.cross(u, w)
+        dist = np.abs((centers - s) @ normal)
+        near = occ_idx[dist < math.sqrt(3.0) / 2.0 + 1e-9]
+    else:
+        near = occ_idx
+    voxels = [tuple(int(c) for c in v) for v in near]
+
+    axes = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]), np.cross(u, w)]
+    for e in (u, w):
+        for b in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                  np.array([0.0, 0.0, 1.0])):
+            a = np.cross(e, b)
+            if np.linalg.norm(a) > 1e-12:
+                axes.append(a)
+
+    occ = np.zeros((rows, cols), dtype=bool)
+    hi_box = np.array([world.nx, world.ny, world.nz], dtype=np.float64)
+    for j in range(rows):
+        for i in range(cols):
+            xlo, ylo = (i + ix0) * h, (j + iy0) * h
+            quad = np.array([s + xlo * u + ylo * w,
+                             s + (xlo + h) * u + ylo * w,
+                             s + (xlo + h) * u + (ylo + h) * w,
+                             s + xlo * u + (ylo + h) * w])
+            if (quad < -1e-9).any() or (quad > hi_box + 1e-9).any():
+                occ[j, i] = True
+                continue
+            for vox in voxels:
+                if _quad_hits_voxel_interior(quad, axes, vox):
+                    occ[j, i] = True
+                    break
+    grid = OccupancyGrid(rows, cols, cell_size_m=h * world.voxel_size_m, occupied=occ)
+    return PlaneSlice(theta_deg, grid, source2, dest2,
+                      origin=tuple(s), axis_u=tuple(u), axis_w=tuple(w),
+                      cell=h, offset=(ix0, iy0))
+
+
+def mc_slice_must_occupy(world: VoxelWorld, sl: PlaneSlice, samples: int = 8,
+                         seed: int = 0) -> tuple[set, set]:
+    """Cells of a plane slice that sampling proves must be occupied.
+
+    Draws points strictly inside each cell square and maps them to voxel
+    space with ``sl.to_world``. Returns the cells with a sample in the open
+    interior of an occupied voxel, and the cells with a sample more than
+    1e-9 outside the world box, as two sets of (col, row).
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = sl.grid.rows, sl.grid.cols
+    jitter = 0.001 + 0.998 * rng.random((rows, cols, samples, 2))
+    pts = np.array([sl.to_world(col + dx, row + dy)
+                    for row in range(rows) for col in range(cols)
+                    for dx, dy in jitter[row, col]]).reshape(rows, cols, samples, 3)
+    hi = np.array([world.nx, world.ny, world.nz], dtype=np.float64)
+    outside = ((pts < -1e-9) | (pts > hi + 1e-9)).any(axis=(2, 3))
+    idx = np.floor(pts).astype(np.int64)
+    interior = ((pts > idx) & (pts < idx + 1)).all(axis=3)
+    inbox = ((idx >= 0) & (idx < hi.astype(np.int64))).all(axis=3)
+    safe = np.where(inbox[..., None], idx, 0)
+    hit = (interior & inbox
+           & world.occupied[safe[..., 0], safe[..., 1], safe[..., 2]]).any(axis=2)
+    return ({(int(c), int(r)) for r, c in np.argwhere(hit)},
+            {(int(c), int(r)) for r, c in np.argwhere(outside)})
