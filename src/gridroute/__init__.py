@@ -2,8 +2,9 @@
 
 The pipeline discretizes a region into an occupancy grid, builds the
 obstacle graph of occupied-cell corners and runs A* over a visibility graph
-whose edges come from a rotational sweep, run lazily from the vertices the
-search expands. Multi-stop journeys, altitude layer choice and
+whose neighbour lists are decided lazily, for the vertices the search
+expands, with the same answers as the paper's rotational sweep. Multi-stop
+journeys, altitude layer choice and
 rotated-plane 3D planning extend the planar core.
 """
 

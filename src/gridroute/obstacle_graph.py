@@ -6,13 +6,16 @@ is marked, and never participates in visibility. Edges are the unit bounding
 edges of occupied cells; an edge shared by two occupied cells is a blocking
 edge: it obstructs collinear lines of sight and may not be flown along.
 
-Per-column and per-row sorted indexes of blocking edges are built eagerly so
-axis-aligned visibility queries are logarithmic, and flat coordinate arrays
-are kept for the rotational sweep.
+Everything planning reads is built straight from numpy arrays: the marked
+set, the unmarked vertices in sorted order, flat edge coordinates for the
+rotational sweep, and cumulative-count tables that answer the same-column,
+same-row and 45-degree visibility cases in O(1). The per-edge records, the
+vertex adjacency and the text dump are built on first access.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,12 +45,50 @@ class CornerRole(NamedTuple):
     is_left_top_corner: bool
 
 
+def _diagonal_prefix(f: np.ndarray, ascending: bool) -> np.ndarray:
+    """Exclusive running sums of the lattice array ``f`` (indexed [y, x])
+    along 45-degree lines: ``out[y, x]`` sums ``f[y - k, x - k]`` (ascending)
+    or ``f[y + k, x - k]`` (descending) over k >= 1 inside the array.
+
+    The sum of ``f`` over the lattice points of a diagonal run is then the
+    difference of two entries. One numpy step per row or per column,
+    whichever is fewer.
+    """
+    rows, cols = f.shape
+    out = np.zeros((rows, cols), dtype=np.int32)
+    if rows <= cols:
+        if ascending:
+            for y in range(1, rows):
+                out[y, 1:] = out[y - 1, :-1] + f[y - 1, :-1]
+        else:
+            for y in range(rows - 2, -1, -1):
+                out[y, 1:] = out[y + 1, :-1] + f[y + 1, :-1]
+    else:
+        for x in range(1, cols):
+            if ascending:
+                out[1:, x] = out[:-1, x - 1] + f[:-1, x - 1]
+            else:
+                out[:-1, x] = out[1:, x - 1] + f[1:, x - 1]
+    return out
+
+
 class ObstacleGraph:
     """Corner-vertex graph of a grid's occupied cells.
 
     Deterministic ordering: vertices row-major by (y, x); edges are all
     horizontal edges row-major, then all vertical edges row-major.
     Immutable once built.
+
+    Cumulative tables, all int32 and indexed by lattice coordinates:
+
+    * ``col_blocking_cum[x, y]``: blocking edges (x, k)-(x, k + 1) with k < y;
+    * ``row_blocking_cum[y, x]``: blocking edges (k, y)-(k + 1, y) with k < x;
+    * ``diag_up_cum`` / ``diag_down_cum``: running counts, along ascending
+      and descending 45-degree lines, of the lattice points that are the
+      left-bottom (ascending) or left-top (descending) corner of an
+      occupied cell;
+    * ``corner_up_cum`` / ``corner_down_cum``: the same for points that are
+      either corner, for the strict case-3 rule (built on first use).
     """
 
     def __init__(self, grid: OccupancyGrid):
@@ -60,12 +101,11 @@ class ObstacleGraph:
         counts[:-1, 1:] += occ
         counts[1:, :-1] += occ
         counts[1:, 1:] += occ
-        vidx = np.argwhere(counts >= 1)
         self._counts = counts
-        self.vertices: list[Point] = [(int(x), int(y)) for y, x in vidx]
-        self._vertex_count = {p: int(counts[p[1], p[0]]) for p in self.vertices}
-        self.marked: frozenset[Point] = frozenset(
-            p for p, c in self._vertex_count.items() if c == 4)
+        my, mx = np.nonzero(counts == 4)
+        self.marked: frozenset[Point] = frozenset(zip(mx.tolist(), my.tolist()))
+        # unmarked vertices in sorted (x, y) order, the candidates' order
+        self._ux, self._uy = np.nonzero(((counts >= 1) & (counts < 4)).T)
 
         # horizontal edge (x,y)-(x+1,y) at index [y, x]; vertical edge
         # (x,y)-(x,y+1) at index [y, x]
@@ -76,53 +116,77 @@ class ObstacleGraph:
         vshared[:, :-1] += occ
         vshared[:, 1:] += occ
 
-        edges: list[ObstacleEdge] = []
-        for y, x in np.argwhere(hshared >= 1):
-            edges.append(ObstacleEdge((int(x), int(y)), (int(x) + 1, int(y)),
-                                      int(hshared[y, x])))
-        for y, x in np.argwhere(vshared >= 1):
-            edges.append(ObstacleEdge((int(x), int(y)), (int(x), int(y) + 1),
-                                      int(vshared[y, x])))
-        self.edges = edges
+        # flat arrays for the sweep and the stabbing kernel, in edge order
+        hy, hx = np.nonzero(hshared)
+        vy, vx = np.nonzero(vshared)
+        self._eax = np.concatenate((hx, vx)).astype(np.int64)
+        self._eay = np.concatenate((hy, vy)).astype(np.int64)
+        self._ebx = self._eax + np.concatenate((np.ones_like(hx), np.zeros_like(vx)))
+        self._eby = self._eay + np.concatenate((np.zeros_like(hy), np.ones_like(vy)))
+        self._eshared = np.concatenate((hshared[hy, hx], vshared[vy, vx]))
 
-        self.adjacency: dict[Point, list[int]] = {p: [] for p in self.vertices}
-        for i, e in enumerate(edges):
-            self.adjacency[e.a].append(i)
-            self.adjacency[e.b].append(i)
+        col_cum = np.zeros((cols + 1, rows + 1), dtype=np.int32)
+        np.cumsum(vshared.T == 2, axis=1, dtype=np.int32, out=col_cum[:, 1:])
+        row_cum = np.zeros((rows + 1, cols + 1), dtype=np.int32)
+        np.cumsum(hshared == 2, axis=1, dtype=np.int32, out=row_cum[:, 1:])
+        self.col_blocking_cum, self.row_blocking_cum = col_cum, row_cum
 
-        self.col_blocking: dict[int, list[int]] = {}
-        for y, x in np.argwhere(vshared == 2):
-            self.col_blocking.setdefault(int(x), []).append(int(y))
-        self.row_blocking: dict[int, list[int]] = {}
-        for y, x in np.argwhere(hshared == 2):
-            self.row_blocking.setdefault(int(y), []).append(int(x))
-        for v in self.col_blocking.values():
-            v.sort()
-        for v in self.row_blocking.values():
-            v.sort()
+        left_bottom, left_top = self._corner_roles()
+        self.diag_up_cum = _diagonal_prefix(left_bottom, ascending=True)
+        self.diag_down_cum = _diagonal_prefix(left_top, ascending=False)
 
-        # flat arrays for the sweep
-        if self.vertices:
-            va = np.array(self.vertices, dtype=np.int64)
-            self._vx, self._vy = va[:, 0].copy(), va[:, 1].copy()
-        else:
-            self._vx = self._vy = np.empty(0, dtype=np.int64)
-        if edges:
-            ea = np.array([(e.a[0], e.a[1], e.b[0], e.b[1]) for e in edges],
-                          dtype=np.int64)
-            self._eax, self._eay = ea[:, 0].copy(), ea[:, 1].copy()
-            self._ebx, self._eby = ea[:, 2].copy(), ea[:, 3].copy()
-        else:
-            self._eax = self._eay = self._ebx = self._eby = np.empty(0, dtype=np.int64)
+    def _corner_roles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per lattice point [y, x]: left-bottom and left-top corner of an
+        occupied cell, as :meth:`corner_role` answers them."""
+        occ = self.grid.occupied
+        rows, cols = occ.shape
+        left_bottom = np.zeros((rows + 1, cols + 1), dtype=bool)
+        left_bottom[:-1, :-1] = occ
+        left_top = np.zeros((rows + 1, cols + 1), dtype=bool)
+        left_top[1:, :-1] = occ
+        return left_bottom, left_top
+
+    @cached_property
+    def corner_up_cum(self) -> np.ndarray:
+        left_bottom, left_top = self._corner_roles()
+        return _diagonal_prefix(left_bottom | left_top, ascending=True)
+
+    @cached_property
+    def corner_down_cum(self) -> np.ndarray:
+        left_bottom, left_top = self._corner_roles()
+        return _diagonal_prefix(left_bottom | left_top, ascending=False)
+
+    @cached_property
+    def vertices(self) -> list[Point]:
+        vy, vx = np.nonzero(self._counts)
+        return list(zip(vx.tolist(), vy.tolist()))
+
+    @cached_property
+    def edges(self) -> list[ObstacleEdge]:
+        return [ObstacleEdge((ax, ay), (bx, by), shared)
+                for ax, ay, bx, by, shared in zip(
+                    self._eax.tolist(), self._eay.tolist(), self._ebx.tolist(),
+                    self._eby.tolist(), self._eshared.tolist())]
+
+    @cached_property
+    def adjacency(self) -> dict[Point, list[int]]:
+        adjacency: dict[Point, list[int]] = {p: [] for p in self.vertices}
+        for i, e in enumerate(self.edges):
+            adjacency[e.a].append(i)
+            adjacency[e.b].append(i)
+        return adjacency
 
     def vertex(self, pos: Point) -> ObstacleVertex | None:
-        c = self._vertex_count.get(pos)
-        if c is None:
+        x, y = pos
+        if not self.grid.in_lattice(pos):
+            return None
+        c = int(self._counts[y, x])
+        if c == 0:
             return None
         return ObstacleVertex(pos, c, c == 4)
 
     def unmarked_vertices(self) -> list[Point]:
-        return [p for p in self.vertices if self._vertex_count[p] < 4]
+        return [p for p in self.vertices if p not in self.marked]
 
     def corner_role(self, pos: Point) -> CornerRole:
         """Whether ``pos`` is the left-bottom / left-top corner of an occupied cell."""
@@ -133,7 +197,7 @@ class ObstacleGraph:
         """Debug text dump, one vertex or edge per line (not a stable format)."""
         out = []
         for p in self.vertices:
-            c = self._vertex_count[p]
+            c = int(self._counts[p[1], p[0]])
             out.append(f"V {p[0]} {p[1]} {c} {1 if c == 4 else 0}")
         for e in self.edges:
             out.append(f"E {e.a[0]} {e.a[1]} {e.b[0]} {e.b[1]} "

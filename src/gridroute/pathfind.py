@@ -1,9 +1,9 @@
 """Exact shortest paths over the visibility graph and path post-processing.
 
 The search is A* with a straight-line heuristic and a lazy-deletion binary
-heap, over either graph kind: planning passes a lazily swept graph, so only
-the vertices the search expands are ever swept, and the full graph remains
-the reference. Length ties are broken deterministically: fewer waypoints
+heap, over either graph kind: planning passes a lazily decided graph, so
+only the vertices the search expands are ever decided, and the full graph
+remains the reference. Length ties are broken deterministically: fewer waypoints
 first, then the lexicographically smallest waypoint sequence, so equal
 inputs produce identical paths on every platform. Consecutive collinear
 waypoints are merged in the reported path; they are not genuine

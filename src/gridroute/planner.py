@@ -2,17 +2,18 @@
 plane heuristics.
 
 ``plan2d`` builds the obstacle graph, then runs A* over a visibility graph
-whose neighbour lists are swept on demand, so only the vertices the search
-expands are swept. ``plan2d_reference`` runs the paper's pipeline (the full
-visibility graph, then the same search) and returns equal paths; it is the
-oracle in the tests and the pipeline ``gridroute bench`` times. Long
+whose neighbour lists are decided on demand, so only the vertices the
+search expands are decided. ``plan2d_reference`` runs the paper's pipeline
+(the full visibility graph, then the same search) and returns equal paths;
+it is the oracle in the tests and the pipeline ``gridroute bench`` times. Long
 journeys are split at caller-chosen stops; each leg is planned on the map
 perceived at the leg's start, so the legs are individually optimal while
 the stop choice stays external. Between altitudes, ``choose_layer`` picks
 the layer with the fewest obstacle cells. True 3D shortest paths are out of
 scope; instead ``plan_rotated_planes`` slices the voxel world with a fan of
 planes through the source-destination line, plans within each slice and
-keeps the shortest.
+keeps the shortest, stopping early once a plane admits the straight
+segment.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def plan2d(grid: OccupancyGrid, source: Point, dest: Point,
            config: PlanConfig | None = None) -> Path:
     """Shortest obstacle-free route on one grid.
 
-    Pipeline: obstacle graph, then A* over a lazily swept visibility graph.
+    Pipeline: obstacle graph, then A* over a lazily decided visibility graph.
     Equal to :func:`plan2d_reference` on every input. Deterministic for
     equal inputs. Source equal to destination yields a zero-length
     single-waypoint path.
@@ -399,7 +400,12 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
 
 def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
                 config: PlanConfig | None) -> tuple[Path, float, PlaneSlice]:
-    """:func:`plan_rotated_planes`, also returning the winning slice."""
+    """:func:`plan_rotated_planes`, also returning the winning slice.
+
+    The fan stops at the first plane whose route is the direct segment (two
+    waypoints): every plane gives that segment the same length, and ties
+    keep the earlier plane, so no later plane can win.
+    """
     config = config or PlanConfig()
     if tuple(s3) == tuple(d3):
         raise ValueError("source and destination coincide")
@@ -412,6 +418,8 @@ def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
             continue
         if best is None or path.length_m < best[0].length_m:
             best = (path, theta, sl)
+        if len(path.waypoints) == 2:
+            break
     if best is None:
         raise NoPathError("no candidate plane admits a route")
     return best

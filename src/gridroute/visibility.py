@@ -4,8 +4,9 @@ For a pivot vertex and a candidate target in its closed right half-plane,
 exactly one of four mutually exclusive cases applies:
 
 * same column: blocked only by a vertical blocking edge overlapping the
-  joining segment (queried on the per-column index);
-* same row: the mirrored query on the per-row index;
+  joining segment (a difference of two entries of the obstacle graph's
+  per-column cumulative count);
+* same row: the mirrored query on the per-row count;
 * exact 45-degree diagonal: blocked only when the segment runs through a
   lattice point that is the penetrated corner of an occupied cell
   (left-bottom corner for ascending lines, left-top for descending);
@@ -19,10 +20,15 @@ visible iff it crosses no occupied cell's open interior and shares no
 positive-length overlap with a blocking edge. The sweep is validated against
 it pair by pair in the test suite.
 
-:func:`build_visibility_graph` decides every pair up front, as the paper
-does; :class:`LazyVisibilityGraph` gives the same adjacency but sweeps from
-a vertex only when a search first asks for its neighbours. Both make the
-per-pivot decision through one function.
+There is one runtime path and one reference path.
+:class:`LazyVisibilityGraph`, which planning uses, decides a vertex's whole
+neighbour list in one array kernel when a search first asks for it: generic
+targets by interval stabbing, which tests each line of sight against exactly
+the edges the sweep would probe, and the other cases by lookups in the
+obstacle graph's cumulative tables. :func:`build_visibility_graph` decides
+every pair up front with the paper's per-pivot sweep, as the paper does; it
+is the reference the tests compare against and what ``gridroute bench``
+times.
 
 Endpoint grazing never blocks: drones are small relative to obstacles and
 may pass through corner contacts between separate obstacles.
@@ -69,24 +75,14 @@ def classify_pair(pivot: Point, target: Point) -> str:
 
 def visible_vertical(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
     """Same-column visibility: no vertical blocking edge may overlap the segment."""
-    x = pivot[0]
-    ylo, yhi = sorted((pivot[1], target[1]))
-    ks = graph.col_blocking.get(x)
-    if not ks:
-        return True
-    i = bisect_left(ks, ylo)
-    return not (i < len(ks) and ks[i] <= yhi - 1)
+    cum = graph.col_blocking_cum[pivot[0]]
+    return bool(cum[pivot[1]] == cum[target[1]])
 
 
 def visible_horizontal(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
     """Same-row visibility: no horizontal blocking edge may overlap the segment."""
-    y = pivot[1]
-    xlo, xhi = sorted((pivot[0], target[0]))
-    ks = graph.row_blocking.get(y)
-    if not ks:
-        return True
-    i = bisect_left(ks, xlo)
-    return not (i < len(ks) and ks[i] <= xhi - 1)
+    cum = graph.row_blocking_cum[pivot[1]]
+    return bool(cum[pivot[0]] == cum[target[0]])
 
 
 def visible_diagonal45(pivot: Point, target: Point, graph: ObstacleGraph,
@@ -183,11 +179,13 @@ def sweep_order(pivot: Point, targets) -> list[Point]:
 
 
 class _PivotPrep:
-    """Per-pivot edge data for the sweep: slope interval, probe radii and the
-    pivot's side of each edge line, for every obstacle edge wholly in the
-    closed right half-plane that is not collinear with a pivot ray."""
+    """Per-pivot edge data shared by the sweep and the stabbing kernel: the
+    endpoints, slope interval and the pivot's side of each edge line, for
+    every obstacle edge wholly in the closed right half-plane that is not
+    collinear with a pivot ray. ``a_high`` marks the edges whose endpoint
+    ``a`` has the larger slope."""
 
-    __slots__ = ("tuples", "khi", "klo", "addr2", "remr2")
+    __slots__ = ("ax", "ay", "bx", "by", "op", "klo", "khi", "a_high")
 
     def __init__(self, graph: ObstacleGraph | _MirroredEdges, pivot: Point):
         px, py = pivot
@@ -196,26 +194,18 @@ class _PivotPrep:
         keep &= ~(((eax == px) & (eay == py)) | ((ebx == px) & (eby == py)))
         ax, ay = eax[keep], eay[keep]
         bx, by = ebx[keep], eby[keep]
-        adx, ady = ax - px, ay - py
-        bdx, bdy = bx - px, by - py
         with np.errstate(divide="ignore"):
-            ka = ady.astype(np.float64) / adx.astype(np.float64)
-            kb = bdy.astype(np.float64) / bdx.astype(np.float64)
+            ka = (ay - py).astype(np.float64) / (ax - px).astype(np.float64)
+            kb = (by - py).astype(np.float64) / (bx - px).astype(np.float64)
         straddle = ka != kb  # edges along a pivot ray never block a sweep target
         if not bool(straddle.all()):
             ax, ay, bx, by = ax[straddle], ay[straddle], bx[straddle], by[straddle]
-            adx, ady, bdx, bdy = adx[straddle], ady[straddle], bdx[straddle], bdy[straddle]
             ka, kb = ka[straddle], kb[straddle]
-        a_high = ka > kb
-        self.khi = np.where(a_high, ka, kb)
-        self.klo = np.where(a_high, kb, ka)
-        r2a = adx * adx + ady * ady
-        r2b = bdx * bdx + bdy * bdy
-        self.addr2 = np.where(a_high, r2a, r2b)
-        self.remr2 = np.where(a_high, r2b, r2a)
-        op = np.sign((bx - ax) * (py - ay) - (by - ay) * (px - ax))
-        self.tuples = list(zip(ax.tolist(), ay.tolist(), bx.tolist(), by.tolist(),
-                               op.tolist(), self.klo.tolist(), self.khi.tolist()))
+        self.ax, self.ay, self.bx, self.by = ax, ay, bx, by
+        self.a_high = ka > kb
+        self.khi = np.where(self.a_high, ka, kb)
+        self.klo = np.where(self.a_high, kb, ka)
+        self.op = np.sign((bx - ax) * (py - ay) - (by - ay) * (px - ax))
 
 
 def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
@@ -238,9 +228,16 @@ def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
     kt = tdy.astype(np.float64) / tdx.astype(np.float64)
     tr2 = tdx * tdx + tdy * tdy
 
-    en = len(prep.tuples)
+    r2a = (prep.ax - px) ** 2 + (prep.ay - py) ** 2
+    r2b = (prep.bx - px) ** 2 + (prep.by - py) ** 2
+    addr2 = np.where(prep.a_high, r2a, r2b)
+    remr2 = np.where(prep.a_high, r2b, r2a)
+    tuples = list(zip(prep.ax.tolist(), prep.ay.tolist(), prep.bx.tolist(),
+                      prep.by.tolist(), prep.op.tolist(), prep.klo.tolist(),
+                      prep.khi.tolist()))
+    en = len(tuples)
     keys = np.concatenate((prep.khi, prep.klo, kt))
-    r2s = np.concatenate((prep.addr2, prep.remr2, tr2))
+    r2s = np.concatenate((addr2, remr2, tr2))
     kinds = np.concatenate((np.zeros(en, np.int8), np.ones(en, np.int8),
                             np.full(tn, 2, np.int8)))
     pays = np.concatenate((np.arange(en), np.arange(en), np.arange(tn)))
@@ -251,7 +248,6 @@ def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
     ktl = kt.tolist()
     txl = tx.tolist()
     tyl = ty.tolist()
-    tuples = prep.tuples
     out = [True] * tn
     lcr: dict[int, tuple] = {}
     for kd, pay in zip(ks, ps):
@@ -338,9 +334,10 @@ class VisibilityGraph:
         return f"VisibilityGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def _candidates(graph: ObstacleGraph, source: Point, dest: Point) -> list[Point]:
-    """Sorted unmarked obstacle vertices plus both endpoints, after checking
-    the grid size and the endpoints."""
+def _candidates(graph: ObstacleGraph, source: Point,
+                dest: Point) -> tuple[list[Point], np.ndarray, np.ndarray]:
+    """Sorted unmarked obstacle vertices plus both endpoints, with their
+    coordinate arrays, after checking the grid size and the endpoints."""
     grid = graph.grid
     if max(grid.cols, grid.rows) >= _COORD_LIMIT:
         raise ValueError("grid too large for exact slope keys")
@@ -351,17 +348,18 @@ def _candidates(graph: ObstacleGraph, source: Point, dest: Point) -> list[Point]
             raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
     if source == dest:
         raise InvalidEndpointError("source equals destination")
-    return sorted(set(graph.unmarked_vertices()) | {source, dest})
+    cx, cy = graph._ux, graph._uy
+    cand = list(zip(cx.tolist(), cy.tolist()))
+    for p in (source, dest):
+        i = bisect_left(cand, p)
+        if i == len(cand) or cand[i] != p:
+            cand.insert(i, p)
+            cx, cy = np.insert(cx, i, p[0]), np.insert(cy, i, p[1])
+    return cand, cx, cy
 
 
-def _coords(points) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([p[0] for p in points], dtype=np.int64),
-            np.array([p[1] for p in points], dtype=np.int64))
-
-
-def _visible_right(graph: ObstacleGraph | _MirroredEdges, pivot: Point,
-                   targets: list[Point], tx: np.ndarray, ty: np.ndarray,
-                   strict_case3: bool) -> list[Point]:
+def _visible_right(graph: ObstacleGraph, pivot: Point, targets: list[Point],
+                   tx: np.ndarray, ty: np.ndarray, strict_case3: bool) -> list[Point]:
     """The targets that ``pivot`` sees, for targets in its closed right
     half-plane whose coordinates are ``tx``/``ty``.
 
@@ -402,8 +400,7 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
     same adjacency on demand; this builder is its reference and what
     ``gridroute bench`` times.
     """
-    cand = _candidates(graph, source, dest)
-    cx, cy = _coords(cand)
+    cand, cx, cy = _candidates(graph, source, dest)
     p = graph.grid.cell_size_m
     edges = {}
     for i, pivot in enumerate(cand):
@@ -415,7 +412,7 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
 
 class _MirroredEdges:
     """The obstacle edges mirrored about the vertical axis (x to cols - x),
-    in the flat arrays the rotational sweep reads."""
+    in the flat arrays the stabbing kernel reads."""
 
     __slots__ = ("_eax", "_eay", "_ebx", "_eby")
 
@@ -425,30 +422,85 @@ class _MirroredEdges:
         self._ebx, self._eby = cols - graph._ebx, graph._eby
 
 
+# Most (edge, target) pairs the stabbing kernel expands at once, so that one
+# neighbour query stays within a few megabytes even on maps where most edges
+# span most targets.
+_PAIR_BLOCK = 1 << 16
+
+
+def _generic_visible(graph: ObstacleGraph | _MirroredEdges, pivot: Point,
+                     tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Visibility from ``pivot`` of generic-position targets strictly to its
+    right, by interval stabbing.
+
+    A target is blocked iff an edge whose open slope interval contains the
+    target's slope separates it from the pivot. Such an edge is always in
+    the rotational sweep's critical list when the sweep probes that target,
+    so these are exactly the sweep's tests. With the targets sorted by slope,
+    each edge's interval is a contiguous run found by two binary searches;
+    the (edge, target) pairs are expanded in blocks of at most
+    ``_PAIR_BLOCK`` pairs.
+    """
+    prep = _PivotPrep(graph, pivot)
+    px, py = pivot
+    kt = (ty - py).astype(np.float64) / (tx - px).astype(np.float64)
+    order = np.argsort(kt)
+    ks, sx, sy = kt[order], tx[order], ty[order]
+    lo = np.searchsorted(ks, prep.klo, side="right")
+    count = np.searchsorted(ks, prep.khi, side="left") - lo
+    stab = np.nonzero(count)[0]
+    blocked = np.zeros(len(ks), dtype=bool)
+    if stab.size:
+        lo, count = lo[stab], count[stab]
+        ax, ay, op = prep.ax[stab], prep.ay[stab], prep.op[stab]
+        ex, ey = prep.bx[stab] - ax, prep.by[stab] - ay
+        # side test (b - a) x (t - a) * op < 0 as ca * y - cb * x + c0 < 0
+        ca, cb, c0 = ex * op, ey * op, (ey * ax - ex * ay) * op
+        ends = np.cumsum(count)
+        start = 0
+        while start < len(stab):
+            base = int(ends[start - 1]) if start else 0
+            stop = max(start + 1,
+                       int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")))
+            c = count[start:stop]
+            e = np.repeat(np.arange(start, stop), c)
+            pos = np.arange(int(ends[stop - 1]) - base) + np.repeat(
+                lo[start:stop] - (ends[start:stop] - c - base), c)
+            hit = ca[e] * sy[pos] - cb[e] * sx[pos] + c0[e] < 0
+            blocked[pos[hit]] = True
+            start = stop
+    visible = np.empty(len(ks), dtype=bool)
+    visible[order] = ~blocked
+    return visible
+
+
 class LazyVisibilityGraph:
     """The graph :func:`build_visibility_graph` builds, with each vertex's
     neighbour list computed the first time it is asked for.
 
     Same vertices, weights and sorted adjacency as the eager graph, so a
-    search that expands few vertices sweeps from few vertices. Targets to
-    the right of a vertex go through the eager builder's per-pivot decision.
-    Generic targets to the left go through the same decision on the obstacle
-    edges mirrored about the vertical axis (x to cols - x), which is exact
-    because the sweep equals :func:`brute_force_visible`, a symmetric
-    predicate. Same-row and diagonal targets to the left are pivoted on the
-    target, as in the eager builder: the strict case-3 rule is not mirror
-    symmetric.
+    search that expands few vertices decides few neighbour lists. Each list
+    comes from one array kernel over all candidates:
+
+    * same-column and same-row targets: the obstacle graph's cumulative
+      blocking-edge counts;
+    * exact diagonals: its cumulative corner-role counts, pivoted on the
+      left endpoint as in the eager builder, since the strict case-3 rule is
+      not mirror symmetric;
+    * generic targets on the right: interval stabbing (:func:`_generic_visible`);
+      on the left, the same on the obstacle edges mirrored about the
+      vertical axis (x to cols - x), which is exact because the result
+      equals :func:`brute_force_visible`, a symmetric predicate.
     """
 
     def __init__(self, graph: ObstacleGraph, source: Point, dest: Point, *,
                  strict_case3: bool = False):
-        cand = _candidates(graph, source, dest)
+        cand, self._cx, self._cy = _candidates(graph, source, dest)
         self.vertices: tuple[Point, ...] = tuple(cand)
         self.vertex_set = frozenset(cand)
         self.cell_size_m = graph.grid.cell_size_m
         self._graph = graph
         self._strict = strict_case3
-        self._cx, self._cy = _coords(cand)
         self._mirror = _MirroredEdges(graph)
         self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
 
@@ -459,26 +511,48 @@ class LazyVisibilityGraph:
         return adj
 
     def _visible_from(self, v: Point) -> list[tuple[Point, float]]:
-        cand, graph, strict = self.vertices, self._graph, self._strict
+        graph = self._graph
         vx, vy = v
         cx, cy = self._cx, self._cy
         dx, dy = cx - vx, cy - vy
-        right = np.nonzero((dx > 0) | ((dx == 0) & (dy != 0)))[0]
-        seen = _visible_right(graph, v, [cand[j] for j in right.tolist()],
-                              cx[right], cy[right], strict)
-        left = dx < 0
-        cols = graph.grid.cols
-        gen = np.nonzero(left & (dy != 0) & (dx != -np.abs(dy)))[0]
-        # generic targets only, so the sweep is all that reads the mirror
-        mirrored = _visible_right(self._mirror, (cols - vx, vy),
-                                  [(cols - cand[j][0], cand[j][1]) for j in gen.tolist()],
-                                  cols - cx[gen], cy[gen], strict)
-        seen.extend((cols - x, y) for x, y in mirrored)
-        for j in np.nonzero(left & (dy == 0))[0].tolist():
-            if visible_horizontal(cand[j], v, graph):
-                seen.append(cand[j])
-        for j in np.nonzero(left & (dx == -np.abs(dy)))[0].tolist():
-            if visible_diagonal45(cand[j], v, graph, strict=strict):
-                seen.append(cand[j])
+        vis = np.zeros(len(cx), dtype=bool)
+
+        column, row = dx == 0, dy == 0
+        cum = graph.col_blocking_cum[vx]
+        vis[column] = cum[cy[column]] == cum[vy]
+        cum = graph.row_blocking_cum[vy]
+        vis[row] = cum[cx[row]] == cum[vx]
+        vis[column & row] = False  # v itself
+
+        adx, ady = np.abs(dx), np.abs(dy)
+        d = np.nonzero((adx == ady) & ~column)[0]
+        if d.size:
+            # pivot on the left endpoint p, target q; the strict rule skips p
+            right = dx[d] > 0
+            px, py = np.where(right, vx, cx[d]), np.where(right, vy, cy[d])
+            qx, qy = np.where(right, cx[d], vx), np.where(right, cy[d], vy)
+            if self._strict:
+                up_cum, down_cum, s = graph.corner_up_cum, graph.corner_down_cum, 1
+            else:
+                up_cum, down_cum, s = graph.diag_up_cum, graph.diag_down_cum, 0
+            up = qy > py
+            down = ~up
+            seen = np.empty(len(d), dtype=bool)
+            seen[up] = up_cum[qy[up], qx[up]] == up_cum[py[up] + s, px[up] + s]
+            seen[down] = (down_cum[qy[down], qx[down]]
+                          == down_cum[py[down] - s, px[down] + s])
+            vis[d] = seen
+
+        generic = ~column & ~row & (adx != ady)
+        j = np.nonzero(generic & (dx > 0))[0]
+        if j.size:
+            vis[j] = _generic_visible(graph, v, cx[j], cy[j])
+        j = np.nonzero(generic & (dx < 0))[0]
+        if j.size:
+            cols = graph.grid.cols
+            vis[j] = _generic_visible(self._mirror, (cols - vx, vy), cols - cx[j], cy[j])
+
         p = self.cell_size_m
-        return sorted((t, euclid_distance(v, t) * p) for t in seen)
+        cand = self.vertices
+        return [(cand[i], euclid_distance(v, cand[i]) * p)
+                for i in np.nonzero(vis)[0].tolist()]

@@ -5,8 +5,9 @@ the code path it checks: gift wrapping for hulls, Monte-Carlo sampling for
 rasterization, per-lattice-point recounts for the obstacle graph, all-pairs
 ground-truth visibility, branch-and-bound enumeration of simple paths,
 plain Dijkstra as the reference for the planner's search order, the
-per-cell plane slicer as the reference for the vectorised one, and
-sampled points for the plane slicer.
+per-cell plane slicer as the reference for the vectorised one, sampled
+points for the plane slicer, and the full plane fan for the fan that stops
+early.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import math
 
 import numpy as np
 
+from gridroute.errors import InvalidEndpointError, NoPathError
 from gridroute.geometry import euclid_distance
 from gridroute.gridmap import OccupancyGrid
 from gridroute.pathfind import Path, merge_collinear, waypoints_length
-from gridroute.planner import PlaneSlice, Point3, VoxelWorld
+from gridroute.planner import (PlanConfig, PlaneSlice, Point3, VoxelWorld,
+                               plan2d, plane_angles, rotated_plane_slice)
 from gridroute.visibility import VisibilityGraph, brute_force_visible
 
 
@@ -296,3 +299,21 @@ def mc_slice_must_occupy(world: VoxelWorld, sl: PlaneSlice, samples: int = 8,
            & world.occupied[safe[..., 0], safe[..., 1], safe[..., 2]]).any(axis=2)
     return ({(int(c), int(r)) for r, c in np.argwhere(hit)},
             {(int(c), int(r)) for r, c in np.argwhere(outside)})
+
+
+def fan_reference(world: VoxelWorld, s3: Point3, d3: Point3,
+                  config: PlanConfig | None = None):
+    """The plane fan without its early stop: plan every plane of the fan and
+    keep the first strictly shortest route. Returns ``(path, theta, slice)``,
+    or None when no plane admits a route."""
+    config = config or PlanConfig()
+    best = None
+    for theta in plane_angles(config):
+        try:
+            sl = rotated_plane_slice(world, s3, d3, theta)
+            path = plan2d(sl.grid, sl.source, sl.dest, config)
+        except (NoPathError, InvalidEndpointError):
+            continue
+        if best is None or path.length_m < best[0].length_m:
+            best = (path, theta, sl)
+    return best

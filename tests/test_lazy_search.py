@@ -1,12 +1,15 @@
-"""The lazily swept visibility graph and A* against the eager references.
+"""The lazy visibility graph's kernel and A* against the eager references.
 
-Three map families: uniform random maps, maps symmetric about both axes
-(where mirror-image routes tie on length) and checkerboards of diagonal
-pinches with random flips. Every comparison is exact equality: adjacency
-lists, ``Path`` objects and raised error types.
+Map families: uniform random maps, maps symmetric about both axes (where
+mirror-image routes tie on length), checkerboards of diagonal pinches with
+random flips, and adversarial layouts beyond 20x20: combs, spirals, solid
+rock cut by one long one-cell corridor, and a sparse grid whose columns
+reach the float slope-key limit. Every comparison is exact equality:
+adjacency lists, ``Path`` objects and raised error types.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.pathfind import dijkstra_shortest_path
 from gridroute.planner import PlanConfig, plan2d, plan2d_reference
-from gridroute.visibility import LazyVisibilityGraph, build_visibility_graph
+from gridroute.visibility import (_COORD_LIMIT, LazyVisibilityGraph, _PivotPrep,
+                                  brute_force_visible,
+                                  build_visibility_graph, visible_diagonal45)
 
 from oracles import dijkstra_reference
 
@@ -44,12 +49,47 @@ def _symmetric_map(seed: int, max_half: int) -> OccupancyGrid:
     return OccupancyGrid(2 * int(hr), 2 * int(hc), occupied=occ)
 
 
-def _pinch_map(seed: int) -> OccupancyGrid:
+def _pinch_map(seed: int, size: int | None = None) -> OccupancyGrid:
     rng = np.random.default_rng(seed)
-    rows, cols = rng.integers(3, 17, size=2)
+    rows, cols = rng.integers(3, 17, size=2) if size is None else (size, size)
     yy, xx = np.mgrid[0:rows, 0:cols]
     occ = ((xx + yy) % 2 == 0) ^ (rng.random((rows, cols)) < 0.15)
     return OccupancyGrid(int(rows), int(cols), occupied=occ)
+
+
+def _comb(rows: int, cols: int) -> OccupancyGrid:
+    """A spine along the bottom row with one-cell teeth on every other column."""
+    occ = np.zeros((rows, cols), dtype=bool)
+    occ[0, :] = True
+    occ[1:rows - 1, ::2] = True
+    return OccupancyGrid(rows, cols, occupied=occ)
+
+
+def _spiral(n: int) -> OccupancyGrid:
+    """A one-cell wall winding inwards in a square spiral, one cell apart."""
+    occ = np.zeros((n, n), dtype=bool)
+    x = y = 1
+    occ[y, x] = True
+    length = n - 3
+    for k in range(2 * n):
+        dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+        for _ in range(length):
+            x, y = x + dx, y + dy
+            occ[y, x] = True
+        if k % 2 == 0 and k > 0:
+            length -= 2
+        if length <= 0:
+            break
+    return OccupancyGrid(n, n, occupied=occ)
+
+
+def _corridor(rows: int, cols: int) -> OccupancyGrid:
+    """Solid rock cut by one serpentine one-cell corridor."""
+    occ = np.ones((rows, cols), dtype=bool)
+    occ[1:rows - 1:2, 1:cols - 1] = False
+    for k, r in enumerate(range(2, rows - 2, 2)):
+        occ[r, cols - 2 if k % 2 == 0 else 1] = False
+    return OccupancyGrid(rows, cols, occupied=occ)
 
 
 def _endpoint_pairs(grid: OccupancyGrid, seed: int, count: int):
@@ -79,9 +119,9 @@ def _corpus():
         yield grid, _endpoint_pairs(grid, k, 1 if grid.rows * grid.cols > 400 else 3)
 
 
-def _outcome(plan, grid, s, d, config):
+def _outcome(plan, *args):
     try:
-        return plan(grid, s, d, config)
+        return plan(*args)
     except NoPathError:
         return NoPathError
 
@@ -91,6 +131,7 @@ def test_lazy_neighbors_equal_eager_adjacency(strict):
     maps = [_random_map(200 + seed, 14) for seed in range(25)]
     maps += [_symmetric_map(300 + seed, 6) for seed in range(4)]
     maps += [_pinch_map(400 + seed) for seed in range(4)]
+    maps += [_comb(24, 40), _spiral(29), _corridor(25, 33), _pinch_map(404, 28)]
     for k, grid in enumerate(maps):
         gobs = build_obstacle_graph(grid)
         s, d = (0, 0), (grid.cols, grid.rows)
@@ -99,8 +140,92 @@ def test_lazy_neighbors_equal_eager_adjacency(strict):
         assert lazy.vertices == eager.vertices
         assert lazy.vertex_set == eager.vertex_set
         assert lazy.cell_size_m == eager.cell_size_m
+        # the search on a fresh lazy graph decides only what it expands
+        fresh = LazyVisibilityGraph(gobs, s, d, strict_case3=strict)
+        assert (_outcome(dijkstra_shortest_path, fresh, s, d)
+                == _outcome(dijkstra_shortest_path, eager, s, d)), k
         for v in eager.vertices:
             assert lazy.neighbors(v) == eager.neighbors(v), (k, v)
+
+
+def _reference_visible(grid, gobs, v, t, strict) -> bool:
+    """The eager builder's answer for one pair: the strict case-3 rule on
+    exact diagonals when it is on, otherwise the ground truth."""
+    dx, dy = t[0] - v[0], t[1] - v[1]
+    if strict and dx != 0 and abs(dx) == abs(dy):
+        return visible_diagonal45(*sorted((v, t)), gobs, strict=True)
+    return brute_force_visible(v, t, grid)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_lazy_neighbors_match_ground_truth_48(strict):
+    """48x48 maps, where the eager graph costs seconds each: neighbour lists
+    of sampled vertices against the pair-by-pair reference."""
+    maps = [_pinch_map(500 + seed, 48) for seed in range(2)]
+    maps += [_comb(48, 48), _spiral(48), _corridor(48, 48)]
+    rng = random.Random(11)
+    for grid in maps:
+        gobs = build_obstacle_graph(grid)
+        lazy = LazyVisibilityGraph(gobs, (0, 0), (grid.cols, grid.rows),
+                                   strict_case3=strict)
+        for v in [(0, 0)] + rng.sample(lazy.vertices, 5):
+            want = [t for t in lazy.vertices
+                    if t != v and _reference_visible(grid, gobs, v, t, strict)]
+            assert [t for t, _ in lazy.neighbors(v)] == want, v
+
+
+def test_lazy_neighbors_near_coord_limit():
+    """A sparse grid whose columns reach just below the slope-key limit, so
+    the sorted float slopes the kernel searches are as close as they get."""
+    rows, cols = 3, _COORD_LIMIT - 1
+    occ = np.zeros((rows, cols), dtype=bool)
+    for x, y in ((1, 1), (2, 0), (3, 2), (cols // 2, 1), (cols // 2 + 1, 0),
+                 (cols // 2 + 1, 1), (cols - 4, 2), (cols - 3, 1), (cols - 1, 0)):
+        occ[y, x] = True
+    grid = OccupancyGrid(rows, cols, occupied=occ)
+    gobs = build_obstacle_graph(grid)
+    s, d = (0, 0), (cols, rows)
+    for strict in (False, True):
+        eager = build_visibility_graph(gobs, s, d, strict_case3=strict)
+        lazy = LazyVisibilityGraph(gobs, s, d, strict_case3=strict)
+        for v in eager.vertices:
+            assert lazy.neighbors(v) == eager.neighbors(v), (strict, v)
+    lazy = LazyVisibilityGraph(gobs, s, d)
+    for v in (s, d, (cols // 2, 2), (3, 0)):
+        want = [t for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)]
+        assert [t for t, _ in lazy.neighbors(v)] == want, v
+
+
+def test_neighbors_memory_stays_flat_on_a_comb():
+    """One-cell walls every other row, attached to a spine on the right: from
+    the bottom-left corner every wall below a target stabs it, so the
+    (edge, target) pairs far exceed one expansion block. Peak allocation of
+    one neighbour query stays under a fixed budget."""
+    n = 160
+    occ = np.zeros((n, n), dtype=bool)
+    occ[1:n - 1:2, 1:] = True
+    occ[:, n - 1] = True
+    grid = OccupancyGrid(n, n, occupied=occ)
+    gobs = build_obstacle_graph(grid)
+    lazy = LazyVisibilityGraph(gobs, (0, 0), (0, n))
+    v = (0, 0)
+    right = [t for t in lazy.vertices if t[0] > 0 and t[1] != 0 and t[0] != abs(t[1])]
+    prep = _PivotPrep(gobs, v)
+    slopes = np.sort([t[1] / t[0] for t in right])
+    pairs = int((np.searchsorted(slopes, prep.khi, side="left")
+                 - np.searchsorted(slopes, prep.klo, side="right")).sum())
+    budget = 16 * 2**20
+    assert pairs * 8 > 2 * budget  # one int64 per pair would not fit twice over
+    tracemalloc.start()
+    try:
+        neighbours = lazy.neighbors(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, peak
+    seen = {t for t, _ in neighbours}
+    for t in random.Random(3).sample(lazy.vertices[1:], 1500):
+        assert (t in seen) == brute_force_visible(v, t, grid), t
 
 
 def test_plan2d_equals_reference():

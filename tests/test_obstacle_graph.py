@@ -131,3 +131,26 @@ def test_dump_golden_single_cell():
         "E 0 0 0 1 1 0\n"
         "E 1 0 1 1 1 0\n"
     )
+
+
+def test_cumulative_tables_match_recount():
+    # both loop orientations of the diagonal tables: wide and tall grids
+    for k, (rows, cols) in enumerate(((7, 13), (13, 7), (1, 9), (9, 1), (6, 6))):
+        grid = gen_random_map(rows, cols, rows * cols // 3, 40 + k)
+        gobs = build_obstacle_graph(grid)
+        blocks = recount_blocking(grid)
+        occ = grid.is_occupied
+        for x in range(cols + 1):
+            for y in range(rows + 1):
+                assert gobs.col_blocking_cum[x, y] == sum(
+                    ((x, j), (x, j + 1)) in blocks for j in range(y))
+                assert gobs.row_blocking_cum[y, x] == sum(
+                    ((i, y), (i + 1, y)) in blocks for i in range(x))
+                up = range(1, min(x, y) + 1)
+                down = range(1, min(x, rows - y) + 1)
+                assert gobs.diag_up_cum[y, x] == sum(occ(x - i, y - i) for i in up)
+                assert gobs.diag_down_cum[y, x] == sum(occ(x - i, y + i - 1) for i in down)
+                assert gobs.corner_up_cum[y, x] == sum(
+                    any(gobs.corner_role((x - i, y - i))) for i in up)
+                assert gobs.corner_down_cum[y, x] == sum(
+                    any(gobs.corner_role((x - i, y + i))) for i in down)

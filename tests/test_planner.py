@@ -5,18 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from gridroute.errors import MapParseError, NoPathError
+from gridroute import planner
+from gridroute.cli import main
+from gridroute.errors import InvalidEndpointError, MapParseError, NoPathError
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
-from gridroute.pathfind import dijkstra_shortest_path
+from gridroute.pathfind import dijkstra_shortest_path, format_length
 from gridroute.planner import (PlanConfig, StaticMapProvider, VoxelWorld,
                                choose_layer, parse_voxels, plan2d,
                                plan_rotated_planes, plan_with_stops,
-                               rotated_plane_slice, serialize_voxels)
+                               plane_angles, rotated_plane_slice,
+                               serialize_voxels)
 from gridroute.visibility import build_visibility_graph
 
-from oracles import min_simple_path_length, oracle_visibility_graph
+from oracles import fan_reference, min_simple_path_length, oracle_visibility_graph
 
 
 def _wall_gap_world():
@@ -236,3 +239,79 @@ def test_plane_fan_rejects_wide_angles():
     with pytest.raises(ValueError):
         plan_rotated_planes(world, (0, 1.5, 1.5), (3, 1.5, 1.5),
                             PlanConfig(plane_count=7, plane_angle_step_deg=40.0))
+
+
+def _fan_worlds():
+    """(world, source, destination) for the fan tests: the empty and the
+    wall-gap worlds above, then worlds like the fan3d benchmark's (10%
+    occupancy, free end slabs two voxels deep, endpoints on the end faces
+    near their centres)."""
+    mid = ((0.0, 2.5, 2.5), (5.0, 2.5, 2.5))
+    yield (VoxelWorld(5, 5, 5), *mid)
+    yield (_wall_gap_world(), *mid)
+    rng = np.random.default_rng(31)
+    n, c = 10, 5
+    for _ in range(16):
+        occ = rng.random((n, n, n)) < 0.1
+        occ[:2] = False
+        occ[-2:] = False
+        s3, d3 = ((x, float(rng.integers(c - 2, c + 2)) + 0.5,
+                   float(rng.integers(c - 2, c + 2)) + 0.5) for x in (0.0, float(n)))
+        yield VoxelWorld(n, n, n, 1.0, occ), s3, d3
+
+
+def test_fan_stops_at_the_first_direct_plane(monkeypatch):
+    real = planner.plan2d
+    calls = []
+
+    def counting(grid, source, dest, config=None):
+        calls.append(source)
+        return real(grid, source, dest, config)
+
+    monkeypatch.setattr(planner, "plan2d", counting)
+    angles = plane_angles(PlanConfig())
+    stopped_early = 0
+    for world, s3, d3 in _fan_worlds():
+        expected = len(angles)  # planes up to the first direct route
+        for i, theta in enumerate(angles):
+            sl = rotated_plane_slice(world, s3, d3, theta)
+            try:
+                if len(real(sl.grid, sl.source, sl.dest).waypoints) == 2:
+                    expected = i + 1
+                    break
+            except (NoPathError, InvalidEndpointError):
+                pass
+        calls.clear()
+        try:
+            plan_rotated_planes(world, s3, d3)
+        except NoPathError:
+            pass
+        assert len(calls) == expected
+        stopped_early += expected < len(angles)
+    # the clear line of sight of the empty world is planned once
+    calls.clear()
+    path, theta = plan_rotated_planes(VoxelWorld(5, 5, 5), (0.0, 2.5, 2.5),
+                                      (5.0, 2.5, 2.5))
+    assert len(calls) == 1 and theta == 0.0 and len(path.waypoints) == 2
+    assert stopped_early >= 4
+
+
+def test_fan_equals_full_fan_reference(tmp_path, capsys):
+    for k, (world, s3, d3) in enumerate(_fan_worlds()):
+        ref = fan_reference(world, s3, d3)
+        if ref is None:
+            with pytest.raises(NoPathError):
+                plan_rotated_planes(world, s3, d3)
+            continue
+        path, theta, sl = ref
+        assert plan_rotated_planes(world, s3, d3) == (path, theta)
+        f = tmp_path / f"world{k}.txt"
+        f.write_text(serialize_voxels(world))
+        assert main(["plan3d", "--voxels", str(f),
+                     "--source", ",".join(map(repr, s3)),
+                     "--dest", ",".join(map(repr, d3))]) == 0
+        expected = [f"theta_deg {theta:g}"]
+        expected += ["{:.6f} {:.6f} {:.6f}".format(*sl.to_world(x, y))
+                     for x, y in path.waypoints]
+        expected.append(f"length_m {format_length(path.length_m)}")
+        assert capsys.readouterr().out.splitlines() == expected
