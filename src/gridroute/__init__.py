@@ -10,18 +10,16 @@ rotated-plane 3D planning extend the planar core.
 
 from .errors import (DegenerateObstacleError, InvalidEndpointError,
                      MapParseError, NoPathError, OutOfBoundsError)
-from .geometry import (Point, Segment, SlopeKey, collinear_overlap, cross,
-                       euclid_distance, segment_crosses_open_cell,
-                       segments_properly_intersect, slope_compare)
+from .geometry import (Point, Segment, collinear_overlap, cross, euclid_distance,
+                       segment_crosses_open_cell, segments_properly_intersect)
 from .gridmap import (OccupancyGrid, convex_hull, discretize_dimensions,
                       parse_map, rasterize_hull, serialize_map)
 from .mapgen import SplitMix64, gen_random_map
 from .obstacle_graph import (ObstacleEdge, ObstacleGraph, ObstacleVertex,
-                             blocking_edges, build_obstacle_graph,
-                             marked_vertices)
-from .pathfind import (Path, deflection_points, dijkstra_shortest_path,
-                       format_length, merge_collinear, path_from_text,
-                       path_length, path_to_text, waypoints_length)
+                             blocking_edges, build_obstacle_graph)
+from .pathfind import (Path, dijkstra_shortest_path, format_length,
+                       merge_collinear, path_from_text, path_length,
+                       path_to_text, waypoints_length)
 from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
                       VoxelWorld, choose_layer, parse_voxels, plan2d,
                       plan2d_reference, plan_rotated_planes, plan_with_stops,
@@ -29,7 +27,7 @@ from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
 from .render import RenderStyle, render_svg
 from .visibility import (LazyVisibilityGraph, VisibilityGraph,
                          brute_force_visible, build_visibility_graph,
-                         classify_pair, sweep_order, sweep_visible_set,
+                         classify_pair, sweep_visible_set,
                          visible_diagonal45, visible_horizontal,
                          visible_vertical)
 

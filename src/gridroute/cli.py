@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source")
     p.add_argument("--dest")
     p.add_argument("--stops")
-    p.add_argument("--strict-case3", action="store_true")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--svg")
 
@@ -85,11 +84,9 @@ def _cmd_plan(args) -> int:
         print("error: source and destination required (flags or map file)",
               file=sys.stderr)
         return 1
-    config = PlanConfig(strict_case3=args.strict_case3)
     if args.oracle:
         gobs = build_obstacle_graph(grid)
-        gv = build_visibility_graph(gobs, source, dest,
-                                    strict_case3=args.strict_case3)
+        gv = build_visibility_graph(gobs, source, dest)
         cand = gv.vertices
         oracle = set()
         for i, u in enumerate(cand):
@@ -102,9 +99,9 @@ def _cmd_plan(args) -> int:
             return 1
     if args.stops:
         path = plan_with_stops(StaticMapProvider(grid), source, dest,
-                               _parse_stops(args.stops), config)
+                               _parse_stops(args.stops))
     else:
-        path = plan2d(grid, source, dest, config)
+        path = plan2d(grid, source, dest)
     sys.stdout.write(path_to_text(path))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as f:

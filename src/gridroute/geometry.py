@@ -11,8 +11,6 @@ collinear overlap are exact. Floating point appears solely in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import total_ordering
 
 Point = tuple[int, int]
 Segment = tuple[Point, Point]
@@ -33,73 +31,6 @@ def cross(o: Point, a: Point, b: Point) -> int:
     clockwise, zero when the three points are collinear.
     """
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def slope_compare(origin: Point, u: Point, v: Point) -> int:
-    """Order two points by the slope of the ray from ``origin``.
-
-    Both points must lie in the closed right half-plane of the origin
-    (delta-x >= 0) and differ from it. Returns -1, 0 or 1 as the slope of
-    origin->u is less than, equal to or greater than the slope of origin->v.
-    A vertical ray pointing up sorts above every finite slope; a vertical
-    ray pointing down sorts below every finite slope. Comparison is exact
-    (integer cross products only).
-    """
-    dux, duy = u[0] - origin[0], u[1] - origin[1]
-    dvx, dvy = v[0] - origin[0], v[1] - origin[1]
-    if (dux == 0 and duy == 0) or (dvx == 0 and dvy == 0):
-        raise ValueError("point coincides with origin")
-    if dux < 0 or dvx < 0:
-        raise ValueError("points must lie in the closed right half-plane")
-    if dux == 0 or dvx == 0:
-        if dux == 0 and dvx == 0:
-            su = 1 if duy > 0 else -1
-            sv = 1 if dvy > 0 else -1
-            return (su > sv) - (su < sv)
-        if dux == 0:
-            return 1 if duy > 0 else -1
-        return -1 if dvy > 0 else 1
-    c = dux * dvy - duy * dvx  # slope(u) < slope(v)  <=>  c > 0
-    return 1 if c < 0 else (-1 if c > 0 else 0)
-
-
-@total_ordering
-@dataclass(frozen=True)
-class SlopeKey:
-    """Reduced rational slope usable as an exact, totally ordered sort key.
-
-    Normalized so ``dx >= 0`` with gcd reduction; vertical rays are encoded
-    as ``(dy=+1, dx=0)`` (up, sorts greatest) and ``(dy=-1, dx=0)`` (down,
-    sorts least). Ordering matches :func:`slope_compare`.
-    """
-
-    dy: int
-    dx: int
-
-    @classmethod
-    def of(cls, origin: Point, p: Point) -> "SlopeKey":
-        dx, dy = p[0] - origin[0], p[1] - origin[1]
-        if dx == 0 and dy == 0:
-            raise ValueError("point coincides with origin")
-        if dx < 0:
-            raise ValueError("point must lie in the closed right half-plane")
-        if dx == 0:
-            return cls(1 if dy > 0 else -1, 0)
-        g = math.gcd(abs(dy), dx)
-        return cls(dy // g, dx // g)
-
-    def _cmp(self, other: "SlopeKey") -> int:
-        if self.dx == 0 and other.dx == 0:
-            return (self.dy > other.dy) - (self.dy < other.dy)
-        if self.dx == 0:
-            return 1 if self.dy > 0 else -1
-        if other.dx == 0:
-            return -1 if other.dy > 0 else 1
-        c = self.dy * other.dx - other.dy * self.dx
-        return (c > 0) - (c < 0)
-
-    def __lt__(self, other: "SlopeKey") -> bool:
-        return self._cmp(other) < 0
 
 
 def segment_crosses_open_cell(seg: Segment, cell: tuple[int, int]) -> bool:

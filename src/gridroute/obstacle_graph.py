@@ -9,8 +9,8 @@ edge: it obstructs collinear lines of sight and may not be flown along.
 Everything planning reads is built straight from numpy arrays: the marked
 set, the unmarked vertices in sorted order, flat edge coordinates for the
 rotational sweep, and cumulative-count tables that answer the same-column,
-same-row and 45-degree visibility cases in O(1). The per-edge records, the
-vertex adjacency and the text dump are built on first access.
+same-row and 45-degree visibility cases in O(1). The vertex list and the
+per-edge records are built on first access.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ class ObstacleEdge(NamedTuple):
     @property
     def blocking(self) -> bool:
         return self.shared_obstacle_cells == 2
-
-
-class CornerRole(NamedTuple):
-    is_left_bottom_corner: bool
-    is_left_top_corner: bool
 
 
 def _diagonal_prefix(f: np.ndarray, ascending: bool) -> np.ndarray:
@@ -86,9 +81,7 @@ class ObstacleGraph:
     * ``diag_up_cum`` / ``diag_down_cum``: running counts, along ascending
       and descending 45-degree lines, of the lattice points that are the
       left-bottom (ascending) or left-top (descending) corner of an
-      occupied cell;
-    * ``corner_up_cum`` / ``corner_down_cum``: the same for points that are
-      either corner, for the strict case-3 rule (built on first use).
+      occupied cell.
     """
 
     def __init__(self, grid: OccupancyGrid):
@@ -131,30 +124,14 @@ class ObstacleGraph:
         np.cumsum(hshared == 2, axis=1, dtype=np.int32, out=row_cum[:, 1:])
         self.col_blocking_cum, self.row_blocking_cum = col_cum, row_cum
 
-        left_bottom, left_top = self._corner_roles()
-        self.diag_up_cum = _diagonal_prefix(left_bottom, ascending=True)
-        self.diag_down_cum = _diagonal_prefix(left_top, ascending=False)
-
-    def _corner_roles(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per lattice point [y, x]: left-bottom and left-top corner of an
-        occupied cell, as :meth:`corner_role` answers them."""
-        occ = self.grid.occupied
-        rows, cols = occ.shape
+        # per lattice point [y, x]: left-bottom / left-top corner of an
+        # occupied cell
         left_bottom = np.zeros((rows + 1, cols + 1), dtype=bool)
         left_bottom[:-1, :-1] = occ
         left_top = np.zeros((rows + 1, cols + 1), dtype=bool)
         left_top[1:, :-1] = occ
-        return left_bottom, left_top
-
-    @cached_property
-    def corner_up_cum(self) -> np.ndarray:
-        left_bottom, left_top = self._corner_roles()
-        return _diagonal_prefix(left_bottom | left_top, ascending=True)
-
-    @cached_property
-    def corner_down_cum(self) -> np.ndarray:
-        left_bottom, left_top = self._corner_roles()
-        return _diagonal_prefix(left_bottom | left_top, ascending=False)
+        self.diag_up_cum = _diagonal_prefix(left_bottom, ascending=True)
+        self.diag_down_cum = _diagonal_prefix(left_top, ascending=False)
 
     @cached_property
     def vertices(self) -> list[Point]:
@@ -168,14 +145,6 @@ class ObstacleGraph:
                     self._eax.tolist(), self._eay.tolist(), self._ebx.tolist(),
                     self._eby.tolist(), self._eshared.tolist())]
 
-    @cached_property
-    def adjacency(self) -> dict[Point, list[int]]:
-        adjacency: dict[Point, list[int]] = {p: [] for p in self.vertices}
-        for i, e in enumerate(self.edges):
-            adjacency[e.a].append(i)
-            adjacency[e.b].append(i)
-        return adjacency
-
     def vertex(self, pos: Point) -> ObstacleVertex | None:
         x, y = pos
         if not self.grid.in_lattice(pos):
@@ -185,33 +154,10 @@ class ObstacleGraph:
             return None
         return ObstacleVertex(pos, c, c == 4)
 
-    def unmarked_vertices(self) -> list[Point]:
-        return [p for p in self.vertices if p not in self.marked]
-
-    def corner_role(self, pos: Point) -> CornerRole:
-        """Whether ``pos`` is the left-bottom / left-top corner of an occupied cell."""
-        x, y = pos
-        return CornerRole(self.grid.is_occupied(x, y), self.grid.is_occupied(x, y - 1))
-
-    def dump(self) -> str:
-        """Debug text dump, one vertex or edge per line (not a stable format)."""
-        out = []
-        for p in self.vertices:
-            c = int(self._counts[p[1], p[0]])
-            out.append(f"V {p[0]} {p[1]} {c} {1 if c == 4 else 0}")
-        for e in self.edges:
-            out.append(f"E {e.a[0]} {e.a[1]} {e.b[0]} {e.b[1]} "
-                       f"{e.shared_obstacle_cells} {1 if e.blocking else 0}")
-        return "\n".join(out) + "\n"
 
 
 def build_obstacle_graph(grid: OccupancyGrid) -> ObstacleGraph:
     return ObstacleGraph(grid)
-
-
-def marked_vertices(graph: ObstacleGraph) -> set[Point]:
-    """Vertices shared by four occupied cells; excluded from visibility."""
-    return set(graph.marked)
 
 
 def blocking_edges(graph: ObstacleGraph) -> set[ObstacleEdge]:

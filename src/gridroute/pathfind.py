@@ -127,11 +127,6 @@ def format_length(value: float) -> str:
     return f"{value:.2f}"
 
 
-def deflection_points(path: Path) -> list[Point]:
-    """Interior waypoints where the route changes heading, in order."""
-    return path.deflections
-
-
 def path_to_text(path: Path) -> str:
     """Serialize as one ``x y`` line per waypoint plus a ``length_m`` line."""
     lines = [f"{x} {y}" for x, y in path.waypoints]

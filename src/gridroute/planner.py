@@ -36,38 +36,30 @@ Point3 = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Planning knobs: grid precision, case-3 strictness, journey stops and
-    the plane fan used for 3D planning."""
+    """The plane fan used for 3D planning: how many planes, and the angle
+    step between them."""
 
-    precision_m: float = 1.0
-    strict_case3: bool = False
-    stop_list: tuple[Point, ...] = ()
     plane_count: int = 7
     plane_angle_step_deg: float = 15.0
 
     def __post_init__(self):
-        if not (self.precision_m > 0):
-            raise ValueError("precision must be positive")
         if self.plane_count < 1:
             raise ValueError("plane count must be at least 1")
         if not (self.plane_angle_step_deg > 0):
             raise ValueError("plane angle step must be positive")
 
 
-def _plan(grid: OccupancyGrid, source: Point, dest: Point, config: PlanConfig | None,
-          make_graph) -> Path:
-    config = config or PlanConfig()
+def _plan(grid: OccupancyGrid, source: Point, dest: Point, make_graph) -> Path:
     if source == dest:
         if not grid.in_lattice(source):
             raise InvalidEndpointError(f"endpoint {source} outside the corner lattice")
         return Path((source,), 0.0)
     gobs = build_obstacle_graph(grid)
-    gv = make_graph(gobs, source, dest, strict_case3=config.strict_case3)
+    gv = make_graph(gobs, source, dest)
     return dijkstra_shortest_path(gv, source, dest)
 
 
-def plan2d(grid: OccupancyGrid, source: Point, dest: Point,
-           config: PlanConfig | None = None) -> Path:
+def plan2d(grid: OccupancyGrid, source: Point, dest: Point) -> Path:
     """Shortest obstacle-free route on one grid.
 
     Pipeline: obstacle graph, then A* over a lazily decided visibility graph.
@@ -75,14 +67,13 @@ def plan2d(grid: OccupancyGrid, source: Point, dest: Point,
     equal inputs. Source equal to destination yields a zero-length
     single-waypoint path.
     """
-    return _plan(grid, source, dest, config, LazyVisibilityGraph)
+    return _plan(grid, source, dest, LazyVisibilityGraph)
 
 
-def plan2d_reference(grid: OccupancyGrid, source: Point, dest: Point,
-                     config: PlanConfig | None = None) -> Path:
+def plan2d_reference(grid: OccupancyGrid, source: Point, dest: Point) -> Path:
     """:func:`plan2d` through the paper's pipeline: obstacle graph, the full
     visibility graph, then the same search."""
-    return _plan(grid, source, dest, config, build_visibility_graph)
+    return _plan(grid, source, dest, build_visibility_graph)
 
 
 class MapProvider(Protocol):
@@ -102,15 +93,14 @@ class StaticMapProvider:
 
 
 def plan_with_stops(provider: MapProvider, source: Point, dest: Point,
-                    stops=None, config: PlanConfig | None = None) -> Path:
+                    stops=()) -> Path:
     """Plan a journey through intermediate stops, re-perceiving at each stop.
 
     Legs are planned one by one on the grid the provider yields at the leg's
     start and concatenated with duplicate junctions merged. A failing leg
     raises :class:`NoPathError` carrying the leg index.
     """
-    config = config or PlanConfig()
-    stops = tuple(stops) if stops is not None else tuple(config.stop_list)
+    stops = tuple(stops)
     for s in stops:
         if s == source or s == dest:
             raise ValueError("stops must be distinct from source and destination")
@@ -120,7 +110,7 @@ def plan_with_stops(provider: MapProvider, source: Point, dest: Point,
     for k in range(len(points) - 1):
         grid = provider.grid_at(points[k])
         try:
-            leg = plan2d(grid, points[k], points[k + 1], config)
+            leg = plan2d(grid, points[k], points[k + 1])
         except NoPathError as exc:
             raise NoPathError(f"leg {k} ({points[k]} to {points[k + 1]}): {exc}",
                               leg=k) from exc
@@ -413,7 +403,7 @@ def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
     for theta in plane_angles(config):
         try:
             sl = rotated_plane_slice(world, s3, d3, theta)
-            path = plan2d(sl.grid, sl.source, sl.dest, config)
+            path = plan2d(sl.grid, sl.source, sl.dest)
         except (NoPathError, InvalidEndpointError):
             continue
         if best is None or path.length_m < best[0].length_m:

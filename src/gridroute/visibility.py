@@ -41,7 +41,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import InvalidEndpointError
-from .geometry import Point, SlopeKey, euclid_distance
+from .geometry import Point, euclid_distance
 from .gridmap import OccupancyGrid
 from .obstacle_graph import ObstacleGraph
 
@@ -85,28 +85,20 @@ def visible_horizontal(pivot: Point, target: Point, graph: ObstacleGraph) -> boo
     return bool(cum[pivot[0]] == cum[target[0]])
 
 
-def visible_diagonal45(pivot: Point, target: Point, graph: ObstacleGraph,
-                       strict: bool = False) -> bool:
+def visible_diagonal45(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
     """Exact-diagonal visibility via corner roles of the lattice points crossed.
 
     An ascending segment enters cell (q.x, q.y) whenever it passes lattice
-    point q short of the target, so it is blocked iff such a q is the
-    left-bottom corner of an occupied cell; descending segments mirror this
-    with the left-top corner. ``strict`` switches to the blunter variant
-    that tests both corner roles at strictly interior lattice points only.
+    point q short of the target, the pivot included, so it is blocked iff
+    such a q is the left-bottom corner of an occupied cell; descending
+    segments mirror this with the left-top corner. This is exactly
+    :func:`brute_force_visible` on diagonal pairs.
     """
     dx = target[0] - pivot[0]
     dy = target[1] - pivot[1]
     if dx <= 0 or abs(dy) != dx:
         raise ValueError("pair is not an exact rightward diagonal")
     step = 1 if dy > 0 else -1
-    if strict:
-        for i in range(1, dx):
-            q = (pivot[0] + i, pivot[1] + i * step)
-            role = graph.corner_role(q)
-            if role.is_left_bottom_corner or role.is_left_top_corner:
-                return False
-        return True
     for i in range(dx):
         qx = pivot[0] + i
         qy = pivot[1] + i * step
@@ -167,15 +159,6 @@ def brute_force_visible(pivot: Point, target: Point, grid: OccupancyGrid) -> boo
     lo = np.maximum(np.maximum(xlo, ylo), 0)
     hi = np.minimum(np.minimum(xhi, yhi), q)
     return not bool((lo < hi).any())
-
-
-def sweep_order(pivot: Point, targets) -> list[Point]:
-    """Targets sorted by decreasing slope around the pivot, nearer point first
-    on slope ties. Uses exact rational comparison."""
-    def key(t: Point):
-        r2 = (t[0] - pivot[0]) ** 2 + (t[1] - pivot[1]) ** 2
-        return (SlopeKey.of(pivot, t), -r2)
-    return sorted(targets, key=key, reverse=True)
 
 
 class _PivotPrep:
@@ -359,7 +342,7 @@ def _candidates(graph: ObstacleGraph, source: Point,
 
 
 def _visible_right(graph: ObstacleGraph, pivot: Point, targets: list[Point],
-                   tx: np.ndarray, ty: np.ndarray, strict_case3: bool) -> list[Point]:
+                   tx: np.ndarray, ty: np.ndarray) -> list[Point]:
     """The targets that ``pivot`` sees, for targets in its closed right
     half-plane whose coordinates are ``tx``/``ty``.
 
@@ -377,7 +360,7 @@ def _visible_right(graph: ObstacleGraph, pivot: Point, targets: list[Point],
         if visible_horizontal(pivot, targets[j], graph):
             visible.append(targets[j])
     for j in np.nonzero((dx > 0) & (dx == np.abs(dy)))[0].tolist():
-        if visible_diagonal45(pivot, targets[j], graph, strict=strict_case3):
+        if visible_diagonal45(pivot, targets[j], graph):
             visible.append(targets[j])
     gen = [targets[j]
            for j in np.nonzero((dx > 0) & (dy != 0) & (dx != np.abs(dy)))[0].tolist()]
@@ -387,8 +370,8 @@ def _visible_right(graph: ObstacleGraph, pivot: Point, targets: list[Point],
     return visible
 
 
-def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
-                           strict_case3: bool = False) -> VisibilityGraph:
+def build_visibility_graph(graph: ObstacleGraph, source: Point,
+                           dest: Point) -> VisibilityGraph:
     """Assemble the full visibility graph over unmarked vertices plus source
     and destination, as the paper does.
 
@@ -404,8 +387,7 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point, dest: Point, *,
     p = graph.grid.cell_size_m
     edges = {}
     for i, pivot in enumerate(cand):
-        for t in _visible_right(graph, pivot, cand[i + 1:], cx[i + 1:], cy[i + 1:],
-                                strict_case3):
+        for t in _visible_right(graph, pivot, cand[i + 1:], cx[i + 1:], cy[i + 1:]):
             edges[(pivot, t)] = euclid_distance(pivot, t) * p
     return VisibilityGraph(cand, edges, p)
 
@@ -484,23 +466,21 @@ class LazyVisibilityGraph:
 
     * same-column and same-row targets: the obstacle graph's cumulative
       blocking-edge counts;
-    * exact diagonals: its cumulative corner-role counts, pivoted on the
-      left endpoint as in the eager builder, since the strict case-3 rule is
-      not mirror symmetric;
+    * exact diagonals: its cumulative corner-role counts, which run along
+      rightward lines, so each pair is looked up from its left endpoint as
+      in the eager builder;
     * generic targets on the right: interval stabbing (:func:`_generic_visible`);
       on the left, the same on the obstacle edges mirrored about the
       vertical axis (x to cols - x), which is exact because the result
       equals :func:`brute_force_visible`, a symmetric predicate.
     """
 
-    def __init__(self, graph: ObstacleGraph, source: Point, dest: Point, *,
-                 strict_case3: bool = False):
+    def __init__(self, graph: ObstacleGraph, source: Point, dest: Point):
         cand, self._cx, self._cy = _candidates(graph, source, dest)
         self.vertices: tuple[Point, ...] = tuple(cand)
         self.vertex_set = frozenset(cand)
         self.cell_size_m = graph.grid.cell_size_m
         self._graph = graph
-        self._strict = strict_case3
         self._mirror = _MirroredEdges(graph)
         self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
 
@@ -527,20 +507,16 @@ class LazyVisibilityGraph:
         adx, ady = np.abs(dx), np.abs(dy)
         d = np.nonzero((adx == ady) & ~column)[0]
         if d.size:
-            # pivot on the left endpoint p, target q; the strict rule skips p
+            # pivot on the left endpoint p, target q
             right = dx[d] > 0
             px, py = np.where(right, vx, cx[d]), np.where(right, vy, cy[d])
             qx, qy = np.where(right, cx[d], vx), np.where(right, cy[d], vy)
-            if self._strict:
-                up_cum, down_cum, s = graph.corner_up_cum, graph.corner_down_cum, 1
-            else:
-                up_cum, down_cum, s = graph.diag_up_cum, graph.diag_down_cum, 0
             up = qy > py
             down = ~up
+            up_cum, down_cum = graph.diag_up_cum, graph.diag_down_cum
             seen = np.empty(len(d), dtype=bool)
-            seen[up] = up_cum[qy[up], qx[up]] == up_cum[py[up] + s, px[up] + s]
-            seen[down] = (down_cum[qy[down], qx[down]]
-                          == down_cum[py[down] - s, px[down] + s])
+            seen[up] = up_cum[qy[up], qx[up]] == up_cum[py[up], px[up]]
+            seen[down] = down_cum[qy[down], qx[down]] == down_cum[py[down], px[down]]
             vis[d] = seen
 
         generic = ~column & ~row & (adx != ady)

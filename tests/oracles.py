@@ -311,7 +311,7 @@ def fan_reference(world: VoxelWorld, s3: Point3, d3: Point3,
     for theta in plane_angles(config):
         try:
             sl = rotated_plane_slice(world, s3, d3, theta)
-            path = plan2d(sl.grid, sl.source, sl.dest, config)
+            path = plan2d(sl.grid, sl.source, sl.dest)
         except (NoPathError, InvalidEndpointError):
             continue
         if best is None or path.length_m < best[0].length_m:

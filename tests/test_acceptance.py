@@ -13,8 +13,7 @@ from gridroute.cli import main
 from gridroute.errors import NoPathError
 from gridroute.gridmap import OccupancyGrid, serialize_map
 from gridroute.mapgen import SplitMix64, gen_random_map
-from gridroute.obstacle_graph import (blocking_edges, build_obstacle_graph,
-                                      marked_vertices)
+from gridroute.obstacle_graph import blocking_edges, build_obstacle_graph
 from gridroute.pathfind import dijkstra_shortest_path, format_length, path_length
 from gridroute.planner import (PlanConfig, VoxelWorld, plan2d, plan2d_reference,
                                plan_rotated_planes, rotated_plane_slice)
@@ -149,7 +148,7 @@ def test_criterion_invariant_suites():
             continue
         straight = math.hypot(d[0] - s[0], d[1] - s[1]) * grid.cell_size_m
         assert path.length_m >= straight - 1e-9
-        unmarked = set(gobs.unmarked_vertices())
+        unmarked = set(gobs.vertices) - gobs.marked
         for w in path.deflections:
             assert w in unmarked
         for a, b in zip(path.waypoints, path.waypoints[1:]):
@@ -202,7 +201,7 @@ def test_criterion_structural_counts():
     g.mark_cells([(1, 1), (2, 1), (1, 2), (2, 2)])
     gobs = build_obstacle_graph(g)
     assert len(gobs.vertices) == 9
-    assert len(marked_vertices(gobs)) == 1
+    assert len(gobs.marked) == 1
     assert len(gobs.edges) == 12
     assert len(blocking_edges(gobs)) == 4
     for k in (2, 3, 4, 5):

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from gridroute.geometry import (SlopeKey, collinear_overlap, euclid_distance,
+from gridroute.geometry import (collinear_overlap, euclid_distance,
                                 segment_crosses_open_cell,
-                                segments_properly_intersect, slope_compare)
+                                segments_properly_intersect)
 
 
 def test_euclid_345():
@@ -21,69 +21,6 @@ def test_euclid_identity():
 def test_euclid_long_diagonal():
     assert euclid_distance((0, 0), (9, 9)) == pytest.approx(math.sqrt(162))
     assert round(euclid_distance((0, 0), (9, 9)), 4) == 12.7279
-
-
-def test_slope_compare_basic():
-    assert slope_compare((0, 0), (1, 2), (2, 1)) == 1
-    assert slope_compare((0, 0), (2, 1), (1, 2)) == -1
-
-
-def test_slope_compare_collinear_equal():
-    assert slope_compare((0, 0), (1, 1), (2, 2)) == 0
-
-
-def test_slope_compare_vertical_beats_finite():
-    assert slope_compare((0, 0), (0, 3), (5, 100)) == 1
-    assert slope_compare((0, 0), (5, 100), (0, 3)) == -1
-
-
-def test_slope_compare_vertical_down_is_least():
-    assert slope_compare((0, 0), (0, -2), (3, -100)) == -1
-    assert slope_compare((0, 0), (0, -1), (0, -5)) == 0
-
-
-def test_slope_compare_rejects_left_half_plane():
-    with pytest.raises(ValueError):
-        slope_compare((0, 0), (-1, 2), (1, 1))
-    with pytest.raises(ValueError):
-        slope_compare((0, 0), (0, 0), (1, 1))
-
-
-def test_slope_compare_strict_weak_ordering():
-    # antisymmetry and transitivity over random right-half-plane points
-    rng = random.Random(1234)
-    origin = (0, 0)
-    pts = []
-    while len(pts) < 60:
-        p = (rng.randint(0, 4095), rng.randint(-4096, 4095))
-        if p != origin:
-            pts.append(p)
-    for _ in range(4000):
-        a, b, c = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        ab = slope_compare(origin, a, b)
-        assert ab == -slope_compare(origin, b, a)
-        if ab == 0 and slope_compare(origin, b, c) == 0:
-            assert slope_compare(origin, a, c) == 0
-        if ab < 0 and slope_compare(origin, b, c) < 0:
-            assert slope_compare(origin, a, c) < 0
-
-
-def test_slope_key_matches_slope_compare():
-    rng = random.Random(99)
-    origin = (17, -5)
-    pts = [(17 + rng.randint(0, 200), -5 + rng.randint(-200, 200)) for _ in range(80)]
-    pts = [p for p in pts if p != origin]
-    for _ in range(2000):
-        u, v = rng.choice(pts), rng.choice(pts)
-        cmp = slope_compare(origin, u, v)
-        ku, kv = SlopeKey.of(origin, u), SlopeKey.of(origin, v)
-        assert cmp == (ku > kv) - (ku < kv)
-
-
-def test_slope_key_normalization():
-    assert SlopeKey.of((0, 0), (4, 6)) == SlopeKey(3, 2)
-    assert SlopeKey.of((0, 0), (0, 9)) == SlopeKey(1, 0)
-    assert SlopeKey.of((0, 0), (0, -9)) == SlopeKey(-1, 0)
 
 
 def test_segment_crosses_open_cell_diagonal():

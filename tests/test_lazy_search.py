@@ -3,11 +3,13 @@
 Map families: uniform random maps, maps symmetric about both axes (where
 mirror-image routes tie on length), checkerboards of diagonal pinches with
 random flips, and adversarial layouts beyond 20x20: combs, spirals, solid
-rock cut by one long one-cell corridor, and a sparse grid whose columns
-reach the float slope-key limit. Every comparison is exact equality:
+rock cut by one long one-cell corridor, a sparse grid whose columns
+reach the float slope-key limit, and grids up to 12x12 drawn by
+``hypothesis``. Every comparison is exact equality:
 adjacency lists, ``Path`` objects and raised error types.
 """
 
+import math
 import random
 import tracemalloc
 
@@ -19,10 +21,9 @@ from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.pathfind import dijkstra_shortest_path
-from gridroute.planner import PlanConfig, plan2d, plan2d_reference
+from gridroute.planner import plan2d, plan2d_reference
 from gridroute.visibility import (_COORD_LIMIT, LazyVisibilityGraph, _PivotPrep,
-                                  brute_force_visible,
-                                  build_visibility_graph, visible_diagonal45)
+                                  brute_force_visible, build_visibility_graph)
 
 from oracles import dijkstra_reference
 
@@ -107,8 +108,7 @@ def _endpoint_pairs(grid: OccupancyGrid, seed: int, count: int):
 
 
 def _corpus():
-    """(grid, endpoint pairs) over all three families, cell sizes cycling.
-    Each map's pairs alternate ``strict_case3`` off and on in the tests."""
+    """(grid, endpoint pairs) over all three families, cell sizes cycling."""
     maps = [_random_map(seed, 16) for seed in range(14)]
     maps += [_random_map(100 + seed, 40) for seed in range(2)]
     maps += [gen_random_map(40, 40, 320, 7)]
@@ -126,8 +126,7 @@ def _outcome(plan, *args):
         return NoPathError
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_lazy_neighbors_equal_eager_adjacency(strict):
+def test_lazy_neighbors_equal_eager_adjacency():
     maps = [_random_map(200 + seed, 14) for seed in range(25)]
     maps += [_symmetric_map(300 + seed, 6) for seed in range(4)]
     maps += [_pinch_map(400 + seed) for seed in range(4)]
@@ -135,43 +134,64 @@ def test_lazy_neighbors_equal_eager_adjacency(strict):
     for k, grid in enumerate(maps):
         gobs = build_obstacle_graph(grid)
         s, d = (0, 0), (grid.cols, grid.rows)
-        eager = build_visibility_graph(gobs, s, d, strict_case3=strict)
-        lazy = LazyVisibilityGraph(gobs, s, d, strict_case3=strict)
+        eager = build_visibility_graph(gobs, s, d)
+        lazy = LazyVisibilityGraph(gobs, s, d)
         assert lazy.vertices == eager.vertices
         assert lazy.vertex_set == eager.vertex_set
         assert lazy.cell_size_m == eager.cell_size_m
         # the search on a fresh lazy graph decides only what it expands
-        fresh = LazyVisibilityGraph(gobs, s, d, strict_case3=strict)
+        fresh = LazyVisibilityGraph(gobs, s, d)
         assert (_outcome(dijkstra_shortest_path, fresh, s, d)
                 == _outcome(dijkstra_shortest_path, eager, s, d)), k
         for v in eager.vertices:
             assert lazy.neighbors(v) == eager.neighbors(v), (k, v)
 
 
-def _reference_visible(grid, gobs, v, t, strict) -> bool:
-    """The eager builder's answer for one pair: the strict case-3 rule on
-    exact diagonals when it is on, otherwise the ground truth."""
-    dx, dy = t[0] - v[0], t[1] - v[1]
-    if strict and dx != 0 and abs(dx) == abs(dy):
-        return visible_diagonal45(*sorted((v, t)), gobs, strict=True)
-    return brute_force_visible(v, t, grid)
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_lazy_neighbors_match_ground_truth_48(strict):
+def test_lazy_neighbors_match_ground_truth_48():
     """48x48 maps, where the eager graph costs seconds each: neighbour lists
-    of sampled vertices against the pair-by-pair reference."""
+    of sampled vertices against the ground truth."""
     maps = [_pinch_map(500 + seed, 48) for seed in range(2)]
     maps += [_comb(48, 48), _spiral(48), _corridor(48, 48)]
     rng = random.Random(11)
     for grid in maps:
         gobs = build_obstacle_graph(grid)
-        lazy = LazyVisibilityGraph(gobs, (0, 0), (grid.cols, grid.rows),
-                                   strict_case3=strict)
+        lazy = LazyVisibilityGraph(gobs, (0, 0), (grid.cols, grid.rows))
         for v in [(0, 0)] + rng.sample(lazy.vertices, 5):
             want = [t for t in lazy.vertices
-                    if t != v and _reference_visible(grid, gobs, v, t, strict)]
+                    if t != v and brute_force_visible(v, t, grid)]
             assert [t for t, _ in lazy.neighbors(v)] == want, v
+
+
+def test_lazy_neighbors_match_ground_truth_property():
+    """Drawn grids up to 12x12 at drawn densities, drawn endpoints and a
+    drawn vertex: its neighbour list is exactly the candidates that
+    :func:`brute_force_visible` says it sees, with Euclidean weights."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        rows = data.draw(st.integers(1, 12), label="rows")
+        cols = data.draw(st.integers(1, 12), label="cols")
+        density = data.draw(st.floats(0.0, 0.7), label="density")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cell = data.draw(st.sampled_from(CELL_SIZES), label="cell")
+        occ = np.random.default_rng(seed).random((rows, cols)) < density
+        grid = OccupancyGrid(rows, cols, cell, occ)
+        gobs = build_obstacle_graph(grid)
+        free = [(x, y) for x in range(cols + 1) for y in range(rows + 1)
+                if (x, y) not in gobs.marked]
+        s, d = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=2,
+                                  unique=True), label="endpoints")
+        lazy = LazyVisibilityGraph(gobs, s, d)
+        v = data.draw(st.sampled_from(lazy.vertices), label="vertex")
+        want = [(t, math.hypot(t[0] - v[0], t[1] - v[1]) * cell)
+                for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)]
+        assert lazy.neighbors(v) == want
+
+    check()
 
 
 def test_lazy_neighbors_near_coord_limit():
@@ -185,12 +205,10 @@ def test_lazy_neighbors_near_coord_limit():
     grid = OccupancyGrid(rows, cols, occupied=occ)
     gobs = build_obstacle_graph(grid)
     s, d = (0, 0), (cols, rows)
-    for strict in (False, True):
-        eager = build_visibility_graph(gobs, s, d, strict_case3=strict)
-        lazy = LazyVisibilityGraph(gobs, s, d, strict_case3=strict)
-        for v in eager.vertices:
-            assert lazy.neighbors(v) == eager.neighbors(v), (strict, v)
+    eager = build_visibility_graph(gobs, s, d)
     lazy = LazyVisibilityGraph(gobs, s, d)
+    for v in eager.vertices:
+        assert lazy.neighbors(v) == eager.neighbors(v), v
     for v in (s, d, (cols // 2, 2), (3, 0)):
         want = [t for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)]
         assert [t for t, _ in lazy.neighbors(v)] == want, v
@@ -230,11 +248,10 @@ def test_neighbors_memory_stays_flat_on_a_comb():
 
 def test_plan2d_equals_reference():
     routed = 0
-    for k, (grid, pairs) in enumerate(_corpus()):
-        for i, (s, d) in enumerate(pairs):
-            config = PlanConfig(strict_case3=(k + i) % 2 == 1)
-            got = _outcome(plan2d, grid, s, d, config)
-            assert got == _outcome(plan2d_reference, grid, s, d, config), (s, d)
+    for grid, pairs in _corpus():
+        for s, d in pairs:
+            got = _outcome(plan2d, grid, s, d)
+            assert got == _outcome(plan2d_reference, grid, s, d), (s, d)
             routed += got is not NoPathError
     assert routed >= 100
 

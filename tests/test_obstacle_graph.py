@@ -4,8 +4,8 @@ import random
 
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
-from gridroute.obstacle_graph import (blocking_edges, build_obstacle_graph,
-                                      marked_vertices)
+from gridroute.obstacle_graph import (ObstacleEdge, ObstacleVertex,
+                                      blocking_edges, build_obstacle_graph)
 
 from oracles import recount_blocking, recount_marked
 
@@ -36,7 +36,7 @@ def test_domino_counts():
 def test_two_by_two_block_counts():
     gobs = build_obstacle_graph(_grid_with([(1, 1), (2, 1), (1, 2), (2, 2)]))
     assert len(gobs.vertices) == 9
-    assert marked_vertices(gobs) == {(2, 2)}
+    assert gobs.marked == {(2, 2)}
     assert len(gobs.edges) == 12
     assert len(blocking_edges(gobs)) == 4
 
@@ -51,19 +51,19 @@ def test_kxk_block_blocking_counts():
 def test_marked_three_by_three():
     cells = [(x, y) for x in range(3) for y in range(3)]
     gobs = build_obstacle_graph(_grid_with(cells))
-    assert marked_vertices(gobs) == {(1, 1), (2, 1), (1, 2), (2, 2)}
+    assert gobs.marked == {(1, 1), (2, 1), (1, 2), (2, 2)}
 
 
 def test_marked_empty_without_blocks():
     gobs = build_obstacle_graph(_grid_with([(0, 0), (2, 0), (4, 2), (0, 3)]))
-    assert marked_vertices(gobs) == set()
+    assert gobs.marked == set()
 
 
 def test_marked_matches_recount_on_seeded_grids():
     for seed in range(10):
         grid = gen_random_map(20, 20, 120 + seed * 10, seed)
         gobs = build_obstacle_graph(grid)
-        assert marked_vertices(gobs) == recount_marked(grid)
+        assert gobs.marked == recount_marked(grid)
 
 
 def test_blocking_matches_recount_on_seeded_grids():
@@ -71,14 +71,6 @@ def test_blocking_matches_recount_on_seeded_grids():
         grid = gen_random_map(20, 20, 120 + seed * 10, seed)
         gobs = build_obstacle_graph(grid)
         assert {(e.a, e.b) for e in blocking_edges(gobs)} == recount_blocking(grid)
-
-
-def test_corner_role_single_cell():
-    gobs = build_obstacle_graph(_grid_with([(1, 1)]))
-    assert gobs.corner_role((1, 1)) == (True, False)
-    assert gobs.corner_role((1, 2)) == (False, True)
-    assert gobs.corner_role((2, 1)) == (False, False)
-    assert gobs.corner_role((5, 5)) == (False, False)
 
 
 def test_vertex_upper_bound():
@@ -99,7 +91,7 @@ def test_marked_vertex_edges_all_blocking():
     gobs = build_obstacle_graph(grid)
     blocks = {(e.a, e.b) for e in blocking_edges(gobs)}
     for v in gobs.marked:
-        incident = [gobs.edges[i] for i in gobs.adjacency[v]]
+        incident = [e for e in gobs.edges if v in (e.a, e.b)]
         assert len(incident) == 4
         assert all((e.a, e.b) in blocks for e in incident)
 
@@ -112,25 +104,30 @@ def test_blocking_endpoints_touch_two_cells():
             assert gobs.vertex(p).incident_obstacle_cells >= 2
 
 
+def _records(gobs):
+    """Every vertex record in vertex order, and every edge in edge order with
+    its blocking flag."""
+    return ([gobs.vertex(p) for p in gobs.vertices],
+            [(e, e.blocking) for e in gobs.edges])
+
+
 def test_build_deterministic():
     grid = gen_random_map(18, 14, 70, 12)
     a = build_obstacle_graph(grid)
     b = build_obstacle_graph(grid)
-    assert a.dump() == b.dump()
+    assert a.vertices == b.vertices
+    assert _records(a) == _records(b)
 
 
 def test_dump_golden_single_cell():
     gobs = build_obstacle_graph(_grid_with([(0, 0)], rows=1, cols=1))
-    assert gobs.dump() == (
-        "V 0 0 1 0\n"
-        "V 1 0 1 0\n"
-        "V 0 1 1 0\n"
-        "V 1 1 1 0\n"
-        "E 0 0 1 0 1 0\n"
-        "E 0 1 1 1 1 0\n"
-        "E 0 0 0 1 1 0\n"
-        "E 1 0 1 1 1 0\n"
-    )
+    assert gobs.vertices == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert _records(gobs) == (
+        [ObstacleVertex(p, 1, False) for p in gobs.vertices],
+        [(ObstacleEdge((0, 0), (1, 0), 1), False),
+         (ObstacleEdge((0, 1), (1, 1), 1), False),
+         (ObstacleEdge((0, 0), (0, 1), 1), False),
+         (ObstacleEdge((1, 0), (1, 1), 1), False)])
 
 
 def test_cumulative_tables_match_recount():
@@ -150,7 +147,3 @@ def test_cumulative_tables_match_recount():
                 down = range(1, min(x, rows - y) + 1)
                 assert gobs.diag_up_cum[y, x] == sum(occ(x - i, y - i) for i in up)
                 assert gobs.diag_down_cum[y, x] == sum(occ(x - i, y + i - 1) for i in down)
-                assert gobs.corner_up_cum[y, x] == sum(
-                    any(gobs.corner_role((x - i, y - i))) for i in up)
-                assert gobs.corner_down_cum[y, x] == sum(
-                    any(gobs.corner_role((x - i, y + i))) for i in down)

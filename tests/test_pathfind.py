@@ -8,8 +8,7 @@ from gridroute.errors import NoPathError
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
-from gridroute.pathfind import (Path, deflection_points,
-                                dijkstra_shortest_path, format_length,
+from gridroute.pathfind import (Path, dijkstra_shortest_path, format_length,
                                 merge_collinear, path_from_text, path_length,
                                 path_to_text)
 from gridroute.visibility import brute_force_visible, build_visibility_graph
@@ -62,7 +61,7 @@ def test_dijkstra_same_endpoint():
     path = dijkstra_shortest_path(gv, (0, 0), (0, 0))
     assert path.waypoints == ((0, 0),)
     assert path.length_m == 0.0
-    assert deflection_points(path) == []
+    assert path.deflections == []
 
 
 def test_dijkstra_rejects_unknown_vertices():
@@ -87,8 +86,8 @@ def test_path_length_full_precision():
 
 
 def test_deflection_points():
-    assert deflection_points(Path(((0, 0), (3, 4)), 5.0)) == []
-    assert deflection_points(Path(((0, 0), (1, 2), (3, 4)), 5.1)) == [(1, 2)]
+    assert Path(((0, 0), (3, 4)), 5.0).deflections == []
+    assert Path(((0, 0), (1, 2), (3, 4)), 5.1).deflections == [(1, 2)]
 
 
 def test_merge_collinear_triples():

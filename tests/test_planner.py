@@ -264,9 +264,9 @@ def test_fan_stops_at_the_first_direct_plane(monkeypatch):
     real = planner.plan2d
     calls = []
 
-    def counting(grid, source, dest, config=None):
+    def counting(grid, source, dest):
         calls.append(source)
-        return real(grid, source, dest, config)
+        return real(grid, source, dest)
 
     monkeypatch.setattr(planner, "plan2d", counting)
     angles = plane_angles(PlanConfig())

@@ -6,8 +6,9 @@ from gridroute.errors import InvalidEndpointError
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
-from gridroute.visibility import (brute_force_visible, build_visibility_graph,
-                                  classify_pair, sweep_order,
+from gridroute.planner import plan2d
+from gridroute.visibility import (LazyVisibilityGraph, brute_force_visible,
+                                  build_visibility_graph, classify_pair,
                                   sweep_visible_set,
                                   visible_diagonal45, visible_horizontal,
                                   visible_vertical)
@@ -80,14 +81,19 @@ def test_diagonal_descending_left_top_corner():
     assert brute_force_visible((0, 3), (3, 0), grid)
 
 
-def test_diagonal_strict_mode_blocks_on_either_corner_role():
-    # ascending line grazes (1, 1), the left-top corner of cell (1, 0);
-    # the exact rule and the ground truth keep it visible, the strict
-    # variant does not
-    grid, gobs = _graph_with([(1, 0)])
-    assert visible_diagonal45((0, 0), (3, 3), gobs, strict=False)
-    assert not visible_diagonal45((0, 0), (3, 3), gobs, strict=True)
-    assert brute_force_visible((0, 0), (3, 3), grid)
+def test_diagonal_through_pivot_corner_is_blocked():
+    # the diagonal (0, 0)-(2, 2) crosses cell (0, 0) from its own corner:
+    # blocked by the pivot's corner role, from either end and in the search
+    grid, gobs = _graph_with([(0, 0)], rows=4, cols=4)
+    assert not brute_force_visible((0, 0), (2, 2), grid)
+    assert not visible_diagonal45((0, 0), (2, 2), gobs)
+    assert not build_visibility_graph(gobs, (0, 0), (2, 2)).has_edge((0, 0), (2, 2))
+    lazy = LazyVisibilityGraph(gobs, (0, 0), (2, 2))
+    assert (2, 2) not in {t for t, _ in lazy.neighbors((0, 0))}
+    assert (0, 0) not in {t for t, _ in lazy.neighbors((2, 2))}
+    route = ((0, 0), (0, 1), (2, 2))
+    assert plan2d(grid, (0, 0), (2, 2)).waypoints == route
+    assert plan2d(grid, (2, 2), (0, 0)).waypoints == route[::-1]
 
 
 def test_brute_force_empty_grid():
@@ -121,11 +127,6 @@ def test_sweep_blocked_and_grazing_targets():
     assert (3, 1) in vis              # passes below the cell
     assert not brute_force_visible((0, 0), (3, 2), grid)
     assert brute_force_visible((0, 0), (3, 1), grid)
-
-
-def test_sweep_order_sorts_by_slope_then_distance():
-    order = sweep_order((0, 0), [(2, 1), (1, 2), (4, 2), (2, 4), (1, 0), (0, 2)])
-    assert order == [(0, 2), (1, 2), (2, 4), (2, 1), (4, 2), (1, 0)]
 
 
 def test_sweep_trace_events_are_obstacle_edges():
