@@ -10,13 +10,12 @@ rotated-plane 3D planning extend the planar core.
 
 from .errors import (DegenerateObstacleError, InvalidEndpointError,
                      MapParseError, NoPathError, OutOfBoundsError)
-from .geometry import (Point, Segment, collinear_overlap, cross, euclid_distance,
-                       segment_crosses_open_cell, segments_properly_intersect)
+from .geometry import Point, Segment, cross, euclid_distance
 from .gridmap import (OccupancyGrid, convex_hull, discretize_dimensions,
                       parse_map, rasterize_hull, serialize_map)
 from .mapgen import SplitMix64, gen_random_map
-from .obstacle_graph import (ObstacleEdge, ObstacleGraph, ObstacleVertex,
-                             blocking_edges, build_obstacle_graph)
+from .obstacle_graph import (ObstacleEdge, ObstacleGraph, blocking_edges,
+                             build_obstacle_graph)
 from .pathfind import (Path, dijkstra_shortest_path, format_length,
                        merge_collinear, path_from_text, path_length,
                        path_to_text, waypoints_length)

@@ -6,11 +6,12 @@ is marked, and never participates in visibility. Edges are the unit bounding
 edges of occupied cells; an edge shared by two occupied cells is a blocking
 edge: it obstructs collinear lines of sight and may not be flown along.
 
-Everything planning reads is built straight from numpy arrays: the marked
-set, the unmarked vertices in sorted order, flat edge coordinates for the
-rotational sweep, and cumulative-count tables that answer the same-column,
-same-row and 45-degree visibility cases in O(1). The vertex list and the
-per-edge records are built on first access.
+Everything is built from the occupied cells' coordinates, so memory and
+build time follow the obstacles, not the grid area: the marked set, the
+unmarked vertices in sorted order, flat edge coordinates for the rotational
+sweep, and one sorted index of the lattice features that block axis and
+45-degree lines of sight, which :meth:`ObstacleGraph.clear` searches. The
+vertex list and the per-edge records are built on first access.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .geometry import Point
 from .gridmap import OccupancyGrid
 
 
-class ObstacleVertex(NamedTuple):
-    pos: Point
-    incident_obstacle_cells: int
-    marked_interior: bool
+# blocker family of a segment (0 column, 1 row, 2 ascending, 3 descending)
+# at 3 * sign(dx) + sign(dy) + 4
+_FAMILY = np.array([2, 1, 3, 0, 0, 0, 3, 1, 2])
 
 
 class ObstacleEdge(NamedTuple):
@@ -40,33 +40,6 @@ class ObstacleEdge(NamedTuple):
         return self.shared_obstacle_cells == 2
 
 
-def _diagonal_prefix(f: np.ndarray, ascending: bool) -> np.ndarray:
-    """Exclusive running sums of the lattice array ``f`` (indexed [y, x])
-    along 45-degree lines: ``out[y, x]`` sums ``f[y - k, x - k]`` (ascending)
-    or ``f[y + k, x - k]`` (descending) over k >= 1 inside the array.
-
-    The sum of ``f`` over the lattice points of a diagonal run is then the
-    difference of two entries. One numpy step per row or per column,
-    whichever is fewer.
-    """
-    rows, cols = f.shape
-    out = np.zeros((rows, cols), dtype=np.int32)
-    if rows <= cols:
-        if ascending:
-            for y in range(1, rows):
-                out[y, 1:] = out[y - 1, :-1] + f[y - 1, :-1]
-        else:
-            for y in range(rows - 2, -1, -1):
-                out[y, 1:] = out[y + 1, :-1] + f[y + 1, :-1]
-    else:
-        for x in range(1, cols):
-            if ascending:
-                out[1:, x] = out[:-1, x - 1] + f[:-1, x - 1]
-            else:
-                out[:-1, x] = out[1:, x - 1] + f[1:, x - 1]
-    return out
-
-
 class ObstacleGraph:
     """Corner-vertex graph of a grid's occupied cells.
 
@@ -74,69 +47,86 @@ class ObstacleGraph:
     horizontal edges row-major, then all vertical edges row-major.
     Immutable once built.
 
-    Cumulative tables, all int32 and indexed by lattice coordinates:
+    The blocker index is one sorted int64 array of (line, position) keys in
+    four families, each family on its own range of lines:
 
-    * ``col_blocking_cum[x, y]``: blocking edges (x, k)-(x, k + 1) with k < y;
-    * ``row_blocking_cum[y, x]``: blocking edges (k, y)-(k + 1, y) with k < x;
-    * ``diag_up_cum`` / ``diag_down_cum``: running counts, along ascending
-      and descending 45-degree lines, of the lattice points that are the
-      left-bottom (ascending) or left-top (descending) corner of an
-      occupied cell.
+    * vertical blocking edges (x, y)-(x, y + 1): line x, position y;
+    * horizontal blocking edges (x, y)-(x + 1, y): line y, position x;
+    * left-bottom corners (x, y) of occupied cells: line x - y + rows,
+      position x;
+    * left-top corners (x, y) of occupied cells: line x + y, position x.
     """
 
     def __init__(self, grid: OccupancyGrid):
         self.grid = grid
-        occ = grid.occupied
         rows, cols = grid.rows, grid.cols
+        cy, cx = (a.astype(np.int64) for a in np.nonzero(grid.occupied))
 
-        counts = np.zeros((rows + 1, cols + 1), dtype=np.int8)
-        counts[:-1, :-1] += occ
-        counts[:-1, 1:] += occ
-        counts[1:, :-1] += occ
-        counts[1:, 1:] += occ
-        self._counts = counts
-        my, mx = np.nonzero(counts == 4)
-        self.marked: frozenset[Point] = frozenset(zip(mx.tolist(), my.tolist()))
+        # lattice point (x, y) keyed y * (cols + 1) + x, so sorted is row-major
+        width = cols + 1
+        corner = cy * width + cx
+        keys, incident = np.unique(
+            np.concatenate((corner, corner + 1, corner + width, corner + width + 1)),
+            return_counts=True)
+        self._vy, self._vx = np.divmod(keys, width)
+        inner = incident == 4
+        self.marked: frozenset[Point] = frozenset(
+            zip(self._vx[inner].tolist(), self._vy[inner].tolist()))
         # unmarked vertices in sorted (x, y) order, the candidates' order
-        self._ux, self._uy = np.nonzero(((counts >= 1) & (counts < 4)).T)
+        ux, uy = self._vx[~inner], self._vy[~inner]
+        order = np.lexsort((uy, ux))
+        self._ux, self._uy = ux[order], uy[order]
 
-        # horizontal edge (x,y)-(x+1,y) at index [y, x]; vertical edge
-        # (x,y)-(x,y+1) at index [y, x]
-        hshared = np.zeros((rows + 1, cols), dtype=np.int8)
-        hshared[:-1, :] += occ
-        hshared[1:, :] += occ
-        vshared = np.zeros((rows, cols + 1), dtype=np.int8)
-        vshared[:, :-1] += occ
-        vshared[:, 1:] += occ
+        # horizontal edge (x, y)-(x + 1, y) keyed y * cols + x; vertical edge
+        # (x, y)-(x, y + 1) keyed like its lower lattice point
+        keys, hshared = np.unique(
+            np.concatenate((cy * cols + cx, (cy + 1) * cols + cx)), return_counts=True)
+        hy, hx = np.divmod(keys, cols)
+        keys, vshared = np.unique(np.concatenate((corner, corner + 1)), return_counts=True)
+        vy, vx = np.divmod(keys, width)
 
         # flat arrays for the sweep and the stabbing kernel, in edge order
-        hy, hx = np.nonzero(hshared)
-        vy, vx = np.nonzero(vshared)
-        self._eax = np.concatenate((hx, vx)).astype(np.int64)
-        self._eay = np.concatenate((hy, vy)).astype(np.int64)
+        self._eax = np.concatenate((hx, vx))
+        self._eay = np.concatenate((hy, vy))
         self._ebx = self._eax + np.concatenate((np.ones_like(hx), np.zeros_like(vx)))
         self._eby = self._eay + np.concatenate((np.zeros_like(hy), np.ones_like(vy)))
-        self._eshared = np.concatenate((hshared[hy, hx], vshared[vy, vx]))
+        self._eshared = np.concatenate((hshared, vshared))
 
-        col_cum = np.zeros((cols + 1, rows + 1), dtype=np.int32)
-        np.cumsum(vshared.T == 2, axis=1, dtype=np.int32, out=col_cum[:, 1:])
-        row_cum = np.zeros((rows + 1, cols + 1), dtype=np.int32)
-        np.cumsum(hshared == 2, axis=1, dtype=np.int32, out=row_cum[:, 1:])
-        self.col_blocking_cum, self.row_blocking_cum = col_cum, row_cum
+        # key (line + family * span) * stride + position, linear in (x, y)
+        # for each family
+        stride, span = max(rows, cols) + 1, rows + cols + 1
+        self._kx = np.array([stride, 1, stride + 1, stride + 1])
+        self._ky = np.array([1, stride, -stride, stride])
+        self._k0 = np.array([0, span, 2 * span + rows, 3 * span]) * stride
+        hb, vb = hshared == 2, vshared == 2
+        self._blockers = np.sort(np.concatenate((
+            self._keys(0, vx[vb], vy[vb]), self._keys(1, hx[hb], hy[hb]),
+            self._keys(2, cx, cy), self._keys(3, cx, cy + 1))))
 
-        # per lattice point [y, x]: left-bottom / left-top corner of an
-        # occupied cell
-        left_bottom = np.zeros((rows + 1, cols + 1), dtype=bool)
-        left_bottom[:-1, :-1] = occ
-        left_top = np.zeros((rows + 1, cols + 1), dtype=bool)
-        left_top[1:, :-1] = occ
-        self.diag_up_cum = _diagonal_prefix(left_bottom, ascending=True)
-        self.diag_down_cum = _diagonal_prefix(left_top, ascending=False)
+    def _keys(self, family, x, y):
+        """Blocker-index keys of lattice points (x, y) on the line of the
+        given family (0 column, 1 row, 2 ascending, 3 descending) through
+        them; numpy arrays or scalars, broadcast together."""
+        return self._kx[family] * x + self._ky[family] * y + self._k0[family]
+
+    def clear(self, ax, ay, bx, by):
+        """True where the axis-parallel or 45-degree segment from (ax, ay) to
+        (bx, by) meets no blocker: no blocking edge overlaps a column or row
+        segment, and a diagonal leaves no lattice point rightwards, its own
+        left end included, that is the left-bottom (ascending) or left-top
+        (descending) corner of an occupied cell. Vectorised over numpy
+        arrays or scalars; each segment costs two binary searches.
+        """
+        # both ends key the same line, so the two counts differ iff a key
+        # lies between them: a blocker from the lower position on
+        family = _FAMILY[3 * np.sign(bx - ax) + np.sign(by - ay) + 4]
+        index = self._blockers
+        return (np.searchsorted(index, self._keys(family, ax, ay))
+                == np.searchsorted(index, self._keys(family, bx, by)))
 
     @cached_property
     def vertices(self) -> list[Point]:
-        vy, vx = np.nonzero(self._counts)
-        return list(zip(vx.tolist(), vy.tolist()))
+        return list(zip(self._vx.tolist(), self._vy.tolist()))
 
     @cached_property
     def edges(self) -> list[ObstacleEdge]:
@@ -144,16 +134,6 @@ class ObstacleGraph:
                 for ax, ay, bx, by, shared in zip(
                     self._eax.tolist(), self._eay.tolist(), self._ebx.tolist(),
                     self._eby.tolist(), self._eshared.tolist())]
-
-    def vertex(self, pos: Point) -> ObstacleVertex | None:
-        x, y = pos
-        if not self.grid.in_lattice(pos):
-            return None
-        c = int(self._counts[y, x])
-        if c == 0:
-            return None
-        return ObstacleVertex(pos, c, c == 4)
-
 
 
 def build_obstacle_graph(grid: OccupancyGrid) -> ObstacleGraph:

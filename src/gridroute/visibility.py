@@ -4,9 +4,8 @@ For a pivot vertex and a candidate target in its closed right half-plane,
 exactly one of four mutually exclusive cases applies:
 
 * same column: blocked only by a vertical blocking edge overlapping the
-  joining segment (a difference of two entries of the obstacle graph's
-  per-column cumulative count);
-* same row: the mirrored query on the per-row count;
+  joining segment;
+* same row: the mirrored rule for horizontal blocking edges;
 * exact 45-degree diagonal: blocked only when the segment runs through a
   lattice point that is the penetrated corner of an occupied cell
   (left-bottom corner for ascending lines, left-top for descending);
@@ -24,8 +23,9 @@ There is one runtime path and one reference path.
 :class:`LazyVisibilityGraph`, which planning uses, decides a vertex's whole
 neighbour list in one array kernel when a search first asks for it: generic
 targets by interval stabbing, which tests each line of sight against exactly
-the edges the sweep would probe, and the other cases by lookups in the
-obstacle graph's cumulative tables. :func:`build_visibility_graph` decides
+the edges the sweep would probe, and the other cases by one query of the
+obstacle graph's blocker index (:meth:`ObstacleGraph.clear`), two binary
+searches per target. :func:`build_visibility_graph` decides
 every pair up front with the paper's per-pivot sweep, as the paper does; it
 is the reference the tests compare against and what ``gridroute bench``
 times.
@@ -75,14 +75,12 @@ def classify_pair(pivot: Point, target: Point) -> str:
 
 def visible_vertical(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
     """Same-column visibility: no vertical blocking edge may overlap the segment."""
-    cum = graph.col_blocking_cum[pivot[0]]
-    return bool(cum[pivot[1]] == cum[target[1]])
+    return bool(graph.clear(*pivot, *target))
 
 
 def visible_horizontal(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
     """Same-row visibility: no horizontal blocking edge may overlap the segment."""
-    cum = graph.row_blocking_cum[pivot[1]]
-    return bool(cum[pivot[0]] == cum[target[0]])
+    return bool(graph.clear(*pivot, *target))
 
 
 def visible_diagonal45(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
@@ -301,9 +299,6 @@ class VisibilityGraph:
     def has_edge(self, u: Point, v: Point) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def weight(self, u: Point, v: Point) -> float:
-        return self.edges[(u, v) if u < v else (v, u)]
-
     def edge_set(self) -> set[tuple[Point, Point]]:
         return set(self.edges)
 
@@ -464,11 +459,9 @@ class LazyVisibilityGraph:
     search that expands few vertices decides few neighbour lists. Each list
     comes from one array kernel over all candidates:
 
-    * same-column and same-row targets: the obstacle graph's cumulative
-      blocking-edge counts;
-    * exact diagonals: its cumulative corner-role counts, which run along
-      rightward lines, so each pair is looked up from its left endpoint as
-      in the eager builder;
+    * same-column, same-row and exact-diagonal targets: one call to
+      :meth:`ObstacleGraph.clear`, which searches the obstacle graph's
+      sorted index of blocking edges and penetrated corners;
     * generic targets on the right: interval stabbing (:func:`_generic_visible`);
       on the left, the same on the obstacle edges mirrored about the
       vertical axis (x to cols - x), which is exact because the result
@@ -498,32 +491,14 @@ class LazyVisibilityGraph:
         vis = np.zeros(len(cx), dtype=bool)
 
         column, row = dx == 0, dy == 0
-        cum = graph.col_blocking_cum[vx]
-        vis[column] = cum[cy[column]] == cum[vy]
-        cum = graph.row_blocking_cum[vy]
-        vis[row] = cum[cx[row]] == cum[vx]
+        straight = column | row | (np.abs(dx) == np.abs(dy))
+        vis[straight] = graph.clear(vx, vy, cx[straight], cy[straight])
         vis[column & row] = False  # v itself
 
-        adx, ady = np.abs(dx), np.abs(dy)
-        d = np.nonzero((adx == ady) & ~column)[0]
-        if d.size:
-            # pivot on the left endpoint p, target q
-            right = dx[d] > 0
-            px, py = np.where(right, vx, cx[d]), np.where(right, vy, cy[d])
-            qx, qy = np.where(right, cx[d], vx), np.where(right, cy[d], vy)
-            up = qy > py
-            down = ~up
-            up_cum, down_cum = graph.diag_up_cum, graph.diag_down_cum
-            seen = np.empty(len(d), dtype=bool)
-            seen[up] = up_cum[qy[up], qx[up]] == up_cum[py[up], px[up]]
-            seen[down] = down_cum[qy[down], qx[down]] == down_cum[py[down], px[down]]
-            vis[d] = seen
-
-        generic = ~column & ~row & (adx != ady)
-        j = np.nonzero(generic & (dx > 0))[0]
+        j = np.nonzero(~straight & (dx > 0))[0]
         if j.size:
             vis[j] = _generic_visible(graph, v, cx[j], cy[j])
-        j = np.nonzero(generic & (dx < 0))[0]
+        j = np.nonzero(~straight & (dx < 0))[0]
         if j.size:
             cols = graph.grid.cols
             vis[j] = _generic_visible(self._mirror, (cols - vx, vy), cols - cx[j], cy[j])

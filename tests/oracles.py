@@ -2,8 +2,9 @@
 
 Each oracle recomputes an answer from first principles, without touching
 the code path it checks: gift wrapping for hulls, Monte-Carlo sampling for
-rasterization, per-lattice-point recounts for the obstacle graph, all-pairs
-ground-truth visibility, branch-and-bound enumeration of simple paths,
+rasterization, per-lattice-point recounts for the obstacle graph, a
+per-cell test of a segment against one open cell, all-pairs ground-truth
+visibility, branch-and-bound enumeration of simple paths,
 plain Dijkstra as the reference for the planner's search order, the
 per-cell plane slicer as the reference for the vectorised one, sampled
 points for the plane slicer, and the full plane fan for the fan that stops
@@ -18,8 +19,9 @@ import math
 import numpy as np
 
 from gridroute.errors import InvalidEndpointError, NoPathError
-from gridroute.geometry import euclid_distance
+from gridroute.geometry import Segment, euclid_distance
 from gridroute.gridmap import OccupancyGrid
+from gridroute.obstacle_graph import ObstacleEdge
 from gridroute.pathfind import Path, merge_collinear, waypoints_length
 from gridroute.planner import (PlanConfig, PlaneSlice, Point3, VoxelWorld,
                                plan2d, plane_angles, rotated_plane_slice)
@@ -83,15 +85,31 @@ def mc_rasterize(hull_ccw_m, grid: OccupancyGrid, samples: int = 100_000,
     return hit
 
 
+def incident_cells(grid: OccupancyGrid, p) -> int:
+    """Occupied cells among the four around lattice point ``p``."""
+    x, y = p
+    return sum(grid.is_occupied(cx, cy) for cx in (x - 1, x) for cy in (y - 1, y))
+
+
 def recount_marked(grid: OccupancyGrid) -> set[tuple[int, int]]:
     """Lattice points whose four surrounding cells are all occupied."""
-    out = set()
-    for y in range(grid.rows + 1):
-        for x in range(grid.cols + 1):
-            if all(grid.is_occupied(cx, cy)
-                   for cx in (x - 1, x) for cy in (y - 1, y)):
-                out.add((x, y))
-    return out
+    return {(x, y) for y in range(grid.rows + 1) for x in range(grid.cols + 1)
+            if incident_cells(grid, (x, y)) == 4}
+
+
+def recount_obstacle_graph(grid: OccupancyGrid) -> tuple[list, set, list]:
+    """``(vertices, marked, edges)`` of the obstacle graph, recounted per
+    lattice point in the graph's documented orders: vertices row-major by
+    (y, x); edges as ``ObstacleEdge`` records, horizontal row-major, then
+    vertical row-major, each with the occupied cells it bounds."""
+    occ = grid.is_occupied
+    lattice = [(x, y) for y in range(grid.rows + 1) for x in range(grid.cols + 1)]
+    vertices = [p for p in lattice if incident_cells(grid, p)]
+    edges = [ObstacleEdge((x, y), (x + 1, y), occ(x, y - 1) + occ(x, y))
+             for x, y in lattice if x < grid.cols and (occ(x, y - 1) or occ(x, y))]
+    edges += [ObstacleEdge((x, y), (x, y + 1), occ(x - 1, y) + occ(x, y))
+              for x, y in lattice if y < grid.rows and (occ(x - 1, y) or occ(x, y))]
+    return vertices, recount_marked(grid), edges
 
 
 def recount_blocking(grid: OccupancyGrid) -> set[tuple[tuple[int, int], tuple[int, int]]]:
@@ -106,6 +124,38 @@ def recount_blocking(grid: OccupancyGrid) -> set[tuple[tuple[int, int], tuple[in
             if grid.is_occupied(x, y - 1) and grid.is_occupied(x, y):
                 out.add(((x, y), (x + 1, y)))
     return out
+
+
+def segment_crosses_open_cell(seg: Segment, cell: tuple[int, int]) -> bool:
+    """True iff the relative interior of ``seg`` meets the open unit cell.
+
+    The cell ``(col, row)`` is the open square (col, col+1) x (row, row+1).
+    Axis-parallel segments between lattice points lie on lattice lines and
+    never enter an open cell. For the rest, the parameter interval where the
+    segment is strictly inside the cell is intersected exactly using integer
+    numerators over a common positive denominator.
+    """
+    (x1, y1), (x2, y2) = seg
+    dx, dy = x2 - x1, y2 - y1
+    if dx == 0 and dy == 0:
+        raise ValueError("degenerate segment")
+    if dx == 0 or dy == 0:
+        return False
+    if dx < 0:
+        x1, y1, dx, dy = x2, y2, -dx, -dy
+    col, row = cell
+    ady = dy if dy > 0 else -dy
+    q = dx * ady  # t = n / q with q > 0
+    xlo = (col - x1) * ady
+    xhi = xlo + ady
+    if dy > 0:
+        ylo = (row - y1) * dx
+    else:
+        ylo = (y1 - row - 1) * dx
+    yhi = ylo + dx
+    lo = max(xlo, ylo, 0)
+    hi = min(xhi, yhi, q)
+    return lo < hi
 
 
 def oracle_visibility_edges(grid: OccupancyGrid, vertices) -> set:

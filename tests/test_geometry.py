@@ -1,13 +1,13 @@
-"""Tests for the exact lattice geometry primitives."""
+"""Tests for the lattice geometry primitives and the per-cell segment oracle."""
 
 import math
 import random
 
 import pytest
 
-from gridroute.geometry import (collinear_overlap, euclid_distance,
-                                segment_crosses_open_cell,
-                                segments_properly_intersect)
+from gridroute.geometry import euclid_distance
+
+from oracles import segment_crosses_open_cell
 
 
 def test_euclid_345():
@@ -70,43 +70,3 @@ def test_segment_crosses_open_cell_random_vs_fraction_clip():
             continue
         cell = (rng.randint(0, 7), rng.randint(0, 7))
         assert segment_crosses_open_cell(seg, cell) == reference(seg, cell)
-
-
-def test_collinear_overlap_containment():
-    assert collinear_overlap(((0, 0), (0, 5)), ((0, 2), (0, 3)))
-
-
-def test_collinear_overlap_single_point():
-    assert not collinear_overlap(((0, 0), (0, 2)), ((0, 2), (0, 4)))
-
-
-def test_collinear_overlap_parallel():
-    assert not collinear_overlap(((0, 0), (5, 0)), ((0, 1), (5, 1)))
-
-
-def test_proper_intersect_crossing():
-    assert segments_properly_intersect(((0, 0), (2, 2)), ((0, 2), (2, 0)))
-
-
-def test_proper_intersect_shared_endpoint():
-    assert not segments_properly_intersect(((0, 0), (2, 0)), ((2, 0), (2, 2)))
-
-
-def test_proper_intersect_collinear_overlap():
-    assert segments_properly_intersect(((0, 0), (4, 4)), ((1, 1), (3, 3)))
-
-
-def test_proper_intersect_t_junction_is_touch():
-    assert not segments_properly_intersect(((0, 0), (4, 0)), ((2, 0), (2, 3)))
-
-
-def test_proper_intersect_symmetric():
-    rng = random.Random(55)
-    for _ in range(2000):
-        s1 = ((rng.randint(0, 9), rng.randint(0, 9)),
-              (rng.randint(0, 9), rng.randint(0, 9)))
-        s2 = ((rng.randint(0, 9), rng.randint(0, 9)),
-              (rng.randint(0, 9), rng.randint(0, 9)))
-        if s1[0] == s1[1] or s2[0] == s2[1]:
-            continue
-        assert segments_properly_intersect(s1, s2) == segments_properly_intersect(s2, s1)

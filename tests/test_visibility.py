@@ -1,5 +1,7 @@
 """Tests for the four visibility cases, the rotational sweep and graph assembly."""
 
+import random
+
 import pytest
 
 from gridroute.errors import InvalidEndpointError
@@ -13,7 +15,7 @@ from gridroute.visibility import (LazyVisibilityGraph, brute_force_visible,
                                   visible_diagonal45, visible_horizontal,
                                   visible_vertical)
 
-from oracles import oracle_visibility_edges
+from oracles import oracle_visibility_edges, segment_crosses_open_cell
 
 
 def _graph_with(cells, rows=6, cols=6):
@@ -114,6 +116,22 @@ def test_brute_force_diagonal_corner_contact_passable():
     assert brute_force_visible((0, 1), (2, 1), grid)
 
 
+def test_brute_force_matches_per_cell_oracle():
+    # off the lattice lines a segment is blocked exactly when it enters the
+    # open interior of an occupied cell, decided here one cell at a time
+    rng = random.Random(21)
+    for seed in range(6):
+        grid = gen_random_map(9, 11, 20 + 5 * seed, seed)
+        cells = grid.occupied_cells()
+        for _ in range(150):
+            a = (rng.randint(0, grid.cols), rng.randint(0, grid.rows))
+            b = (rng.randint(0, grid.cols), rng.randint(0, grid.rows))
+            if a[0] == b[0] or a[1] == b[1]:
+                continue
+            crossed = any(segment_crosses_open_cell((a, b), c) for c in cells)
+            assert brute_force_visible(a, b, grid) == (not crossed), (seed, a, b)
+
+
 def test_sweep_no_obstacles():
     _, gobs = _graph_with([])
     targets = [(3, 2), (3, 1), (2, 5)]
@@ -162,7 +180,7 @@ def test_build_empty_grid_single_edge():
     grid = OccupancyGrid(5, 5)
     gv = build_visibility_graph(build_obstacle_graph(grid), (0, 0), (5, 5))
     assert gv.edge_set() == {((0, 0), (5, 5))}
-    assert gv.weight((0, 0), (5, 5)) == pytest.approx(50 ** 0.5)
+    assert gv.edges[((0, 0), (5, 5))] == pytest.approx(50 ** 0.5)
 
 
 def test_build_single_cell_matches_oracle():
@@ -228,4 +246,4 @@ def test_visibility_symmetric_via_adjacency():
 def test_weights_are_euclidean_meters():
     grid = OccupancyGrid(4, 4, cell_size_m=2.5)
     gv = build_visibility_graph(build_obstacle_graph(grid), (0, 0), (3, 4))
-    assert gv.weight((0, 0), (3, 4)) == pytest.approx(5 * 2.5)
+    assert gv.edges[((0, 0), (3, 4))] == pytest.approx(5 * 2.5)
