@@ -23,11 +23,10 @@ from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
                       VoxelWorld, choose_layer, parse_voxels, plan2d,
                       plan2d_reference, plan_rotated_planes, plan_with_stops,
                       rotated_plane_slice, serialize_voxels)
-from .render import RenderStyle, render_svg
+from .render import render_svg
 from .visibility import (LazyVisibilityGraph, VisibilityGraph,
                          brute_force_visible, build_visibility_graph,
                          classify_pair, sweep_visible_set,
-                         visible_diagonal45, visible_horizontal,
-                         visible_vertical)
+                         visible_diagonal45)
 
 __version__ = "0.1.0"

@@ -116,8 +116,6 @@ def plan_with_stops(provider: MapProvider, source: Point, dest: Point,
                               leg=k) from exc
         waypoints.extend(leg.waypoints[1:])
         total += leg.length_m
-    if len(waypoints) == 1:
-        return Path((source,), 0.0)
     return Path(tuple(waypoints), total)
 
 

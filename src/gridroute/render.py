@@ -8,33 +8,27 @@ SVG 1.1 text with integer coordinates, stable byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gridmap import OccupancyGrid
 from .pathfind import Path
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    cell_px: int = 32
-    margin_px: int = 16
-    obstacle_fill: str = "#8d8d8d"
-    path_stroke: str = "#e53935"
-    path_width: int = 3
-    marker_fill: str = "#1e88e5"
-    marker_radius: int = 5
-    dot_fill: str = "#b0b0b0"
-    dot_px: int = 2
+CELL_PX = 32
+MARGIN_PX = 16
+OBSTACLE_FILL = "#8d8d8d"
+PATH_STROKE = "#e53935"
+PATH_WIDTH = 3
+MARKER_FILL = "#1e88e5"
+MARKER_RADIUS = 5
+DOT_FILL = "#b0b0b0"
+DOT_PX = 2
 
 
-def render_svg(grid: OccupancyGrid, path: Path, style: RenderStyle | None = None) -> str:
+def render_svg(grid: OccupancyGrid, path: Path) -> str:
     """Render a grid and a route; one ``rect class="cell"`` per obstacle cell,
     one polyline for the route, circles at endpoints and deflections."""
-    st = style or RenderStyle()
     for p in path.waypoints:
         if not grid.in_lattice(p):
             raise ValueError(f"waypoint {p} outside the grid")
-    c, m = st.cell_px, st.margin_px
+    c, m = CELL_PX, MARGIN_PX
     width = 2 * m + grid.cols * c
     height = 2 * m + grid.rows * c
 
@@ -49,19 +43,19 @@ def render_svg(grid: OccupancyGrid, path: Path, style: RenderStyle | None = None
     out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
     for col, row in grid.occupied_cells():
         out.append(f'<rect class="cell" x="{sx(col)}" y="{sy(row + 1)}" '
-                   f'width="{c}" height="{c}" fill="{st.obstacle_fill}"/>')
-    half = st.dot_px // 2
+                   f'width="{c}" height="{c}" fill="{OBSTACLE_FILL}"/>')
+    half = DOT_PX // 2
     for y in range(grid.rows + 1):
         for x in range(grid.cols + 1):
             out.append(f'<rect class="dot" x="{sx(x) - half}" y="{sy(y) - half}" '
-                       f'width="{st.dot_px}" height="{st.dot_px}" fill="{st.dot_fill}"/>')
+                       f'width="{DOT_PX}" height="{DOT_PX}" fill="{DOT_FILL}"/>')
     pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in path.waypoints)
     out.append(f'<polyline points="{pts}" fill="none" '
-               f'stroke="{st.path_stroke}" stroke-width="{st.path_width}"/>')
+               f'stroke="{PATH_STROKE}" stroke-width="{PATH_WIDTH}"/>')
     markers = [path.waypoints[0], path.waypoints[-1], *path.deflections] \
         if len(path.waypoints) > 1 else [path.waypoints[0]]
     for x, y in markers:
-        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{st.marker_radius}" '
-                   f'fill="{st.marker_fill}"/>')
+        out.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{MARKER_RADIUS}" '
+                   f'fill="{MARKER_FILL}"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

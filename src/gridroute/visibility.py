@@ -21,14 +21,16 @@ it pair by pair in the test suite.
 
 There is one runtime path and one reference path.
 :class:`LazyVisibilityGraph`, which planning uses, decides a vertex's whole
-neighbour list in one array kernel when a search first asks for it: generic
-targets by interval stabbing, which tests each line of sight against exactly
-the edges the sweep would probe, and the other cases by one query of the
-obstacle graph's blocker index (:meth:`ObstacleGraph.clear`), two binary
-searches per target. :func:`build_visibility_graph` decides
-every pair up front with the paper's per-pivot sweep, as the paper does; it
-is the reference the tests compare against and what ``gridroute bench``
-times.
+neighbour list, on both sides of it, in one array kernel when a search
+first asks for it: generic targets by interval stabbing, which tests each
+line of sight against exactly the edges the sweep would probe, and the other
+cases by one query of the obstacle graph's blocker index
+(:meth:`ObstacleGraph.clear`), two binary searches per target. The left
+half-plane needs no second pass: its point reflection about the pivot is
+the right half-plane, and it keeps every slope and every side test.
+:func:`build_visibility_graph` decides every pair up front with the paper's
+per-pivot sweep over the right half-plane, as the paper does; it is the
+reference the tests compare against and what ``gridroute bench`` times.
 
 Endpoint grazing never blocks: drones are small relative to obstacles and
 may pass through corner contacts between separate obstacles.
@@ -71,16 +73,6 @@ def classify_pair(pivot: Point, target: Point) -> str:
     if dx == abs(dy):
         return "diagonal45"
     return "generic"
-
-
-def visible_vertical(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
-    """Same-column visibility: no vertical blocking edge may overlap the segment."""
-    return bool(graph.clear(*pivot, *target))
-
-
-def visible_horizontal(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
-    """Same-row visibility: no horizontal blocking edge may overlap the segment."""
-    return bool(graph.clear(*pivot, *target))
 
 
 def visible_diagonal45(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
@@ -162,26 +154,35 @@ def brute_force_visible(pivot: Point, target: Point, grid: OccupancyGrid) -> boo
 class _PivotPrep:
     """Per-pivot edge data shared by the sweep and the stabbing kernel: the
     endpoints, slope interval and the pivot's side of each edge line, for
-    every obstacle edge wholly in the closed right half-plane that is not
-    collinear with a pivot ray. ``a_high`` marks the edges whose endpoint
-    ``a`` has the larger slope."""
+    every obstacle edge that does not touch the pivot and is not collinear
+    with a pivot ray. The ``nright`` edges wholly in the closed right
+    half-plane come first, then the edges wholly in the closed left one.
+    ``a_high`` marks the edges whose endpoint ``a`` has the larger slope.
 
-    __slots__ = ("ax", "ay", "bx", "by", "op", "klo", "khi", "a_high")
+    A left edge's slopes are those of its point reflection about the pivot,
+    ``(-dy)/(-dx)``, which maps the left half-plane onto the right one:
+    finite slopes stay the same, and an endpoint on the pivot's column gets
+    the left side's infinity (``-inf`` above the pivot, ``+inf`` below).
+    Side tests use the edges as they are, since the reflection keeps the
+    sign of every cross product about the pivot."""
 
-    def __init__(self, graph: ObstacleGraph | _MirroredEdges, pivot: Point):
+    __slots__ = ("ax", "ay", "bx", "by", "op", "klo", "khi", "a_high", "nright")
+
+    def __init__(self, graph: ObstacleGraph, pivot: Point):
         px, py = pivot
         eax, eay, ebx, eby = graph._eax, graph._eay, graph._ebx, graph._eby
-        keep = (eax >= px) & (ebx >= px)
-        keep &= ~(((eax == px) & (eay == py)) | ((ebx == px) & (eby == py)))
-        ax, ay = eax[keep], eay[keep]
-        bx, by = ebx[keep], eby[keep]
-        with np.errstate(divide="ignore"):
-            ka = (ay - py).astype(np.float64) / (ax - px).astype(np.float64)
-            kb = (by - py).astype(np.float64) / (bx - px).astype(np.float64)
-        straddle = ka != kb  # edges along a pivot ray never block a sweep target
-        if not bool(straddle.all()):
-            ax, ay, bx, by = ax[straddle], ay[straddle], bx[straddle], by[straddle]
-            ka, kb = ka[straddle], kb[straddle]
+        side = np.where((eax >= px) & (ebx >= px), 1, -1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ka = (side * (eay - py)) / (side * (eax - px))
+            kb = (side * (eby - py)) / (side * (ebx - px))
+        # the pivot's own edges and edges along a pivot ray never block a
+        # generic target
+        keep = (ka != kb) & ~(((eax == px) & (eay == py)) | ((ebx == px) & (eby == py)))
+        right = keep & (side > 0)
+        idx = np.concatenate((np.nonzero(right)[0], np.nonzero(keep & ~right)[0]))
+        self.nright = int(np.count_nonzero(right))
+        ax, ay, bx, by = eax[idx], eay[idx], ebx[idx], eby[idx]
+        ka, kb = ka[idx], kb[idx]
         self.ax, self.ay, self.bx, self.by = ax, ay, bx, by
         self.a_high = ka > kb
         self.khi = np.where(self.a_high, ka, kb)
@@ -199,9 +200,13 @@ def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
     before tests. A target is visible iff no critical edge whose slope
     interval strictly spans the target's slope separates the pivot from the
     target; for an axis-parallel edge on integer endpoints that sign test is
-    exactly proper intersection of the edge with the line of sight.
+    exactly proper intersection of the edge with the line of sight. Only
+    the prep's right-half-plane edges take part.
     """
     px, py = pivot
+    ax, ay, bx, by, op, klo, khi, a_high = (
+        a[:prep.nright] for a in (prep.ax, prep.ay, prep.bx, prep.by, prep.op,
+                                  prep.klo, prep.khi, prep.a_high))
     tn = len(targets)
     tx = np.array([t[0] for t in targets], dtype=np.int64)
     ty = np.array([t[1] for t in targets], dtype=np.int64)
@@ -209,15 +214,14 @@ def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
     kt = tdy.astype(np.float64) / tdx.astype(np.float64)
     tr2 = tdx * tdx + tdy * tdy
 
-    r2a = (prep.ax - px) ** 2 + (prep.ay - py) ** 2
-    r2b = (prep.bx - px) ** 2 + (prep.by - py) ** 2
-    addr2 = np.where(prep.a_high, r2a, r2b)
-    remr2 = np.where(prep.a_high, r2b, r2a)
-    tuples = list(zip(prep.ax.tolist(), prep.ay.tolist(), prep.bx.tolist(),
-                      prep.by.tolist(), prep.op.tolist(), prep.klo.tolist(),
-                      prep.khi.tolist()))
+    r2a = (ax - px) ** 2 + (ay - py) ** 2
+    r2b = (bx - px) ** 2 + (by - py) ** 2
+    addr2 = np.where(a_high, r2a, r2b)
+    remr2 = np.where(a_high, r2b, r2a)
+    tuples = list(zip(ax.tolist(), ay.tolist(), bx.tolist(), by.tolist(),
+                      op.tolist(), klo.tolist(), khi.tolist()))
     en = len(tuples)
-    keys = np.concatenate((prep.khi, prep.klo, kt))
+    keys = np.concatenate((khi, klo, kt))
     r2s = np.concatenate((addr2, remr2, tr2))
     kinds = np.concatenate((np.zeros(en, np.int8), np.ones(en, np.int8),
                             np.full(tn, 2, np.int8)))
@@ -341,19 +345,15 @@ def _visible_right(graph: ObstacleGraph, pivot: Point, targets: list[Point],
     """The targets that ``pivot`` sees, for targets in its closed right
     half-plane whose coordinates are ``tx``/``ty``.
 
-    Same-column, same-row and exact-diagonal targets go through their case
-    tests; the generic ones share one rotational sweep around the pivot.
+    Same-column and same-row targets take one :meth:`ObstacleGraph.clear`
+    query, exact-diagonal ones the corner test of :func:`visible_diagonal45`;
+    the generic ones share one rotational sweep around the pivot.
     """
     px, py = pivot
     dx = tx - px
     dy = ty - py
-    visible: list[Point] = []
-    for j in np.nonzero(dx == 0)[0].tolist():
-        if visible_vertical(pivot, targets[j], graph):
-            visible.append(targets[j])
-    for j in np.nonzero((dy == 0) & (dx > 0))[0].tolist():
-        if visible_horizontal(pivot, targets[j], graph):
-            visible.append(targets[j])
+    axis = np.nonzero((dx == 0) | (dy == 0))[0]
+    visible = [targets[j] for j in axis[graph.clear(px, py, tx[axis], ty[axis])].tolist()]
     for j in np.nonzero((dx > 0) & (dx == np.abs(dy)))[0].tolist():
         if visible_diagonal45(pivot, targets[j], graph):
             visible.append(targets[j])
@@ -387,44 +387,40 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point,
     return VisibilityGraph(cand, edges, p)
 
 
-class _MirroredEdges:
-    """The obstacle edges mirrored about the vertical axis (x to cols - x),
-    in the flat arrays the stabbing kernel reads."""
-
-    __slots__ = ("_eax", "_eay", "_ebx", "_eby")
-
-    def __init__(self, graph: ObstacleGraph):
-        cols = graph.grid.cols
-        self._eax, self._eay = cols - graph._eax, graph._eay
-        self._ebx, self._eby = cols - graph._ebx, graph._eby
-
-
 # Most (edge, target) pairs the stabbing kernel expands at once, so that one
 # neighbour query stays within a few megabytes even on maps where most edges
 # span most targets.
 _PAIR_BLOCK = 1 << 16
 
 
-def _generic_visible(graph: ObstacleGraph | _MirroredEdges, pivot: Point,
+def _generic_visible(graph: ObstacleGraph, pivot: Point,
                      tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """Visibility from ``pivot`` of generic-position targets strictly to its
-    right, by interval stabbing.
+    """Visibility from ``pivot`` of generic-position targets on either side
+    of it, by interval stabbing.
 
-    A target is blocked iff an edge whose open slope interval contains the
-    target's slope separates it from the pivot. Such an edge is always in
-    the rotational sweep's critical list when the sweep probes that target,
-    so these are exactly the sweep's tests. With the targets sorted by slope,
-    each edge's interval is a contiguous run found by two binary searches;
-    the (edge, target) pairs are expanded in blocks of at most
-    ``_PAIR_BLOCK`` pairs.
+    A target is blocked iff an edge on its side of the pivot, whose open
+    slope interval contains the target's slope, separates it from the
+    pivot. Such an edge is always in the critical list when the rotational
+    sweep over that half-plane (the left one taken through its point
+    reflection, see :class:`_PivotPrep`) probes the target, so these are
+    exactly the sweep's tests. An edge never blocks a target on the other
+    side, so with the targets sorted by side, then slope, each edge's
+    interval is a contiguous run of its own side's targets found by two
+    binary searches; the (edge, target) pairs are expanded in blocks of at
+    most ``_PAIR_BLOCK`` pairs.
     """
     prep = _PivotPrep(graph, pivot)
     px, py = pivot
     kt = (ty - py).astype(np.float64) / (tx - px).astype(np.float64)
-    order = np.argsort(kt)
+    left = tx < px
+    order = np.lexsort((kt, left))
     ks, sx, sy = kt[order], tx[order], ty[order]
-    lo = np.searchsorted(ks, prep.klo, side="right")
-    count = np.searchsorted(ks, prep.khi, side="left") - lo
+    # right targets and edges come first; the left ones are searched past them
+    nt, ne = len(ks) - int(np.count_nonzero(left)), prep.nright
+    lo = np.concatenate((np.searchsorted(ks[:nt], prep.klo[:ne], side="right"),
+                         np.searchsorted(ks[nt:], prep.klo[ne:], side="right") + nt))
+    count = np.concatenate((np.searchsorted(ks[:nt], prep.khi[:ne], side="left"),
+                            np.searchsorted(ks[nt:], prep.khi[ne:], side="left") + nt)) - lo
     stab = np.nonzero(count)[0]
     blocked = np.zeros(len(ks), dtype=bool)
     if stab.size:
@@ -462,9 +458,9 @@ class LazyVisibilityGraph:
     * same-column, same-row and exact-diagonal targets: one call to
       :meth:`ObstacleGraph.clear`, which searches the obstacle graph's
       sorted index of blocking edges and penetrated corners;
-    * generic targets on the right: interval stabbing (:func:`_generic_visible`);
-      on the left, the same on the obstacle edges mirrored about the
-      vertical axis (x to cols - x), which is exact because the result
+    * generic targets on both sides: one interval-stabbing pass
+      (:func:`_generic_visible`), which decides the left half-plane through
+      its point reflection about the vertex; exact because the result
       equals :func:`brute_force_visible`, a symmetric predicate.
     """
 
@@ -474,7 +470,6 @@ class LazyVisibilityGraph:
         self.vertex_set = frozenset(cand)
         self.cell_size_m = graph.grid.cell_size_m
         self._graph = graph
-        self._mirror = _MirroredEdges(graph)
         self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
 
     def neighbors(self, v: Point) -> list[tuple[Point, float]]:
@@ -495,13 +490,9 @@ class LazyVisibilityGraph:
         vis[straight] = graph.clear(vx, vy, cx[straight], cy[straight])
         vis[column & row] = False  # v itself
 
-        j = np.nonzero(~straight & (dx > 0))[0]
+        j = np.nonzero(~straight)[0]
         if j.size:
             vis[j] = _generic_visible(graph, v, cx[j], cy[j])
-        j = np.nonzero(~straight & (dx < 0))[0]
-        if j.size:
-            cols = graph.grid.cols
-            vis[j] = _generic_visible(self._mirror, (cols - vx, vy), cols - cx[j], cy[j])
 
         p = self.cell_size_m
         cand = self.vertices

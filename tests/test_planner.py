@@ -11,7 +11,7 @@ from gridroute.errors import InvalidEndpointError, MapParseError, NoPathError
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
-from gridroute.pathfind import dijkstra_shortest_path, format_length
+from gridroute.pathfind import Path, dijkstra_shortest_path, format_length
 from gridroute.planner import (PlanConfig, StaticMapProvider, VoxelWorld,
                                choose_layer, parse_voxels, plan2d,
                                plan_rotated_planes, plan_with_stops,
@@ -68,6 +68,12 @@ def test_plan_with_stops_empty_list_equals_plan2d():
     direct = plan2d(grid, (0, 0), (8, 8))
     stops = plan_with_stops(StaticMapProvider(grid), (0, 0), (8, 8), [])
     assert stops == direct
+
+
+def test_plan_with_stops_same_endpoint_equals_plan2d():
+    grid = OccupancyGrid(3, 3)
+    path = plan_with_stops(StaticMapProvider(grid), (1, 1), (1, 1))
+    assert path == plan2d(grid, (1, 1), (1, 1)) == Path(((1, 1),), 0.0)
 
 
 def test_plan_with_stops_on_line_costs_nothing():

@@ -8,7 +8,7 @@ from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.pathfind import Path
 from gridroute.planner import plan2d
-from gridroute.render import RenderStyle, render_svg
+from gridroute.render import render_svg
 
 GOLDEN = FsPath(__file__).parent / "data" / "golden_render.svg"
 
@@ -36,13 +36,6 @@ def test_render_rejects_outside_waypoints():
     grid = OccupancyGrid(3, 3)
     with pytest.raises(ValueError):
         render_svg(grid, Path(((0, 0), (9, 9)), 1.0))
-
-
-def test_style_is_configurable():
-    grid = OccupancyGrid(2, 2)
-    svg = render_svg(grid, Path(((0, 0), (2, 2)), 2 * 2 ** 0.5),
-                     RenderStyle(path_stroke="#00ff00"))
-    assert 'stroke="#00ff00"' in svg
 
 
 def test_golden_rendering_byte_identical():

@@ -11,9 +11,7 @@ from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.planner import plan2d
 from gridroute.visibility import (LazyVisibilityGraph, brute_force_visible,
                                   build_visibility_graph, classify_pair,
-                                  sweep_visible_set,
-                                  visible_diagonal45, visible_horizontal,
-                                  visible_vertical)
+                                  sweep_visible_set, visible_diagonal45)
 
 from oracles import oracle_visibility_edges, segment_crosses_open_cell
 
@@ -36,26 +34,26 @@ def test_classify_pair():
 
 def test_visible_vertical_empty_column():
     _, gobs = _graph_with([])
-    assert visible_vertical((1, 0), (1, 3), gobs)
+    assert gobs.clear(1, 0, 1, 3)
 
 
 def test_visible_vertical_blocked_by_shared_edge():
     _, gobs = _graph_with([(0, 0), (1, 0)])
-    assert not visible_vertical((1, 0), (1, 3), gobs)
+    assert not gobs.clear(1, 0, 1, 3)
 
 
 def test_visible_vertical_single_cell_edge_is_flyable():
     _, gobs = _graph_with([(0, 0)])
-    assert visible_vertical((1, 0), (1, 3), gobs)
+    assert gobs.clear(1, 0, 1, 3)
 
 
 def test_visible_horizontal_mirrors_vertical():
     _, gobs = _graph_with([])
-    assert visible_horizontal((0, 1), (3, 1), gobs)
+    assert gobs.clear(0, 1, 3, 1)
     _, gobs = _graph_with([(0, 0), (0, 1)])
-    assert not visible_horizontal((0, 1), (3, 1), gobs)
+    assert not gobs.clear(0, 1, 3, 1)
     _, gobs = _graph_with([(0, 0)])
-    assert visible_horizontal((0, 1), (3, 1), gobs)
+    assert gobs.clear(0, 1, 3, 1)
 
 
 def test_diagonal_blocked_through_left_bottom_corner():
