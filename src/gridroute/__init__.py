@@ -17,8 +17,8 @@ from .mapgen import SplitMix64, gen_random_map
 from .obstacle_graph import (ObstacleEdge, ObstacleGraph, blocking_edges,
                              build_obstacle_graph)
 from .pathfind import (Path, dijkstra_shortest_path, format_length,
-                       merge_collinear, path_from_text, path_length,
-                       path_to_text, waypoints_length)
+                       merge_collinear, path_from_text, path_to_text,
+                       waypoints_length)
 from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
                       VoxelWorld, choose_layer, parse_voxels, plan2d,
                       plan2d_reference, plan_rotated_planes, plan_with_stops,
@@ -26,7 +26,6 @@ from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
 from .render import render_svg
 from .visibility import (LazyVisibilityGraph, VisibilityGraph,
                          brute_force_visible, build_visibility_graph,
-                         classify_pair, sweep_visible_set,
-                         visible_diagonal45)
+                         classify_pair, sweep_visible_set)
 
 __version__ = "0.1.0"

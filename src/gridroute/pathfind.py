@@ -108,20 +108,6 @@ def dijkstra_shortest_path(gv: VisibilityGraph | LazyVisibilityGraph,
     raise NoPathError(f"no route from {source} to {dest}")
 
 
-def path_length(segments) -> float:
-    """Total length from squared segment lengths: the sum of their roots.
-
-    Entries are positive integer squared lengths in cell units. Full
-    precision is returned; round to two decimals for display.
-    """
-    total = 0.0
-    for s in segments:
-        if s <= 0 or int(s) != s:
-            raise ValueError("entries must be positive integer squared lengths")
-        total += math.sqrt(s)
-    return total
-
-
 def format_length(value: float) -> str:
     """Two-decimal display form used in path text output."""
     return f"{value:.2f}"

@@ -29,7 +29,7 @@ from .geometry import Point
 from .gridmap import OccupancyGrid
 from .obstacle_graph import build_obstacle_graph
 from .pathfind import Path, dijkstra_shortest_path
-from .visibility import LazyVisibilityGraph, build_visibility_graph
+from .visibility import LazyVisibilityGraph, build_visibility_graph, check_endpoints
 
 Point3 = tuple[float, float, float]
 
@@ -50,11 +50,10 @@ class PlanConfig:
 
 
 def _plan(grid: OccupancyGrid, source: Point, dest: Point, make_graph) -> Path:
-    if source == dest:
-        if not grid.in_lattice(source):
-            raise InvalidEndpointError(f"endpoint {source} outside the corner lattice")
-        return Path((source,), 0.0)
     gobs = build_obstacle_graph(grid)
+    if source == dest:
+        check_endpoints(gobs, source, dest)
+        return Path((source,), 0.0)
     gv = make_graph(gobs, source, dest)
     return dijkstra_shortest_path(gv, source, dest)
 
@@ -64,8 +63,8 @@ def plan2d(grid: OccupancyGrid, source: Point, dest: Point) -> Path:
 
     Pipeline: obstacle graph, then A* over a lazily decided visibility graph.
     Equal to :func:`plan2d_reference` on every input. Deterministic for
-    equal inputs. Source equal to destination yields a zero-length
-    single-waypoint path.
+    equal inputs. Source equal to destination, at a point outside every
+    obstacle's interior, yields a zero-length single-waypoint path.
     """
     return _plan(grid, source, dest, LazyVisibilityGraph)
 
@@ -166,7 +165,8 @@ class VoxelWorld:
 def parse_voxels(text: str) -> VoxelWorld:
     """Parse the voxel file format: an ``nx ny nz voxel_size`` header, then
     nz blocks of ny rows of nx characters (z ascending, first row of each
-    block is y = ny - 1), blocks separated by one blank line."""
+    block is y = ny - 1), blocks separated by one blank line and nothing
+    after the last one."""
     lines = text.splitlines()
     if not lines:
         raise MapParseError("empty voxel file", 1)
@@ -200,6 +200,8 @@ def parse_voxels(text: str) -> VoxelWorld:
                 elif ch != ".":
                     raise MapParseError(f"unknown character {ch!r}", ln + 1)
             ln += 1
+    if ln < len(lines):
+        raise MapParseError("unexpected line after the last block", ln + 1)
     return world
 
 

@@ -19,18 +19,19 @@ visible iff it crosses no occupied cell's open interior and shares no
 positive-length overlap with a blocking edge. The sweep is validated against
 it pair by pair in the test suite.
 
-There is one runtime path and one reference path.
-:class:`LazyVisibilityGraph`, which planning uses, decides a vertex's whole
-neighbour list, on both sides of it, in one array kernel when a search
-first asks for it: generic targets by interval stabbing, which tests each
-line of sight against exactly the edges the sweep would probe, and the other
-cases by one query of the obstacle graph's blocker index
-(:meth:`ObstacleGraph.clear`), two binary searches per target. The left
+Both graphs sort a pivot's targets through one dispatch. Same-column,
+same-row and exact-diagonal targets take one query of the obstacle graph's
+blocker index (:meth:`ObstacleGraph.clear`), two binary searches per
+target; only the generic targets fork, between a runtime path and a
+reference path. :class:`LazyVisibilityGraph`, which planning uses, decides
+a vertex's whole neighbour list, on both sides of it, when a search first
+asks for it, and its generic targets by interval stabbing, which tests each
+line of sight against exactly the edges the sweep would probe. The left
 half-plane needs no second pass: its point reflection about the pivot is
 the right half-plane, and it keeps every slope and every side test.
-:func:`build_visibility_graph` decides every pair up front with the paper's
-per-pivot sweep over the right half-plane, as the paper does; it is the
-reference the tests compare against and what ``gridroute bench`` times.
+:func:`build_visibility_graph` decides every pair up front and its generic
+targets with the paper's per-pivot sweep over the right half-plane; it is
+the reference the tests compare against and what ``gridroute bench`` times.
 
 Endpoint grazing never blocks: drones are small relative to obstacles and
 may pass through corner contacts between separate obstacles.
@@ -73,32 +74,6 @@ def classify_pair(pivot: Point, target: Point) -> str:
     if dx == abs(dy):
         return "diagonal45"
     return "generic"
-
-
-def visible_diagonal45(pivot: Point, target: Point, graph: ObstacleGraph) -> bool:
-    """Exact-diagonal visibility via corner roles of the lattice points crossed.
-
-    An ascending segment enters cell (q.x, q.y) whenever it passes lattice
-    point q short of the target, the pivot included, so it is blocked iff
-    such a q is the left-bottom corner of an occupied cell; descending
-    segments mirror this with the left-top corner. This is exactly
-    :func:`brute_force_visible` on diagonal pairs.
-    """
-    dx = target[0] - pivot[0]
-    dy = target[1] - pivot[1]
-    if dx <= 0 or abs(dy) != dx:
-        raise ValueError("pair is not an exact rightward diagonal")
-    step = 1 if dy > 0 else -1
-    for i in range(dx):
-        qx = pivot[0] + i
-        qy = pivot[1] + i * step
-        if step > 0:
-            if graph.grid.is_occupied(qx, qy):
-                return False
-        else:
-            if graph.grid.is_occupied(qx, qy - 1):
-                return False
-    return True
 
 
 def brute_force_visible(pivot: Point, target: Point, grid: OccupancyGrid) -> bool:
@@ -190,9 +165,10 @@ class _PivotPrep:
         self.op = np.sign((bx - ax) * (py - ay) - (by - ay) * (px - ax))
 
 
-def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
-                 trace: list | None = None) -> list[bool]:
-    """Run one clockwise rotational pass and answer every generic target.
+def _sweep_flags(graph: ObstacleGraph, pivot: Point, tx: np.ndarray, ty: np.ndarray,
+                 trace: list | None = None) -> np.ndarray:
+    """Run one clockwise rotational pass around ``pivot`` and answer every
+    generic target strictly to its right, whose coordinates are ``tx``/``ty``.
 
     Probe events are edge insertions (at the endpoint with the larger slope),
     edge removals (smaller slope) and target tests, ordered by decreasing
@@ -204,12 +180,11 @@ def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
     the prep's right-half-plane edges take part.
     """
     px, py = pivot
+    prep = _PivotPrep(graph, pivot)
     ax, ay, bx, by, op, klo, khi, a_high = (
         a[:prep.nright] for a in (prep.ax, prep.ay, prep.bx, prep.by, prep.op,
                                   prep.klo, prep.khi, prep.a_high))
-    tn = len(targets)
-    tx = np.array([t[0] for t in targets], dtype=np.int64)
-    ty = np.array([t[1] for t in targets], dtype=np.int64)
+    tn = len(tx)
     tdx, tdy = tx - px, ty - py
     kt = tdy.astype(np.float64) / tdx.astype(np.float64)
     tr2 = tdx * tdx + tdy * tdy
@@ -259,7 +234,7 @@ def _sweep_flags(pivot: Point, targets: list[Point], prep: _PivotPrep,
             if trace is not None:
                 trace.append(f"probe ({x},{y}) |L|={len(lcr)} -> "
                              f"{'visible' if vis else 'blocked'}")
-    return out
+    return np.array(out, dtype=bool)
 
 
 def sweep_visible_set(pivot: Point, targets, graph: ObstacleGraph,
@@ -273,9 +248,9 @@ def sweep_visible_set(pivot: Point, targets, graph: ObstacleGraph,
     targets = list(targets)
     if not targets:
         return set()
-    prep = _PivotPrep(graph, pivot)
-    flags = _sweep_flags(pivot, targets, prep, trace)
-    return {t for t, f in zip(targets, flags) if f}
+    txy = np.array(targets, dtype=np.int64)
+    flags = _sweep_flags(graph, pivot, txy[:, 0], txy[:, 1], trace)
+    return {t for t, f in zip(targets, flags.tolist()) if f}
 
 
 class VisibilityGraph:
@@ -316,6 +291,16 @@ class VisibilityGraph:
         return f"VisibilityGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+def check_endpoints(graph: ObstacleGraph, source: Point, dest: Point) -> None:
+    """Raise :class:`InvalidEndpointError` unless both endpoints are corner
+    lattice points outside every obstacle's interior."""
+    for name, p in (("source", source), ("destination", dest)):
+        if not graph.grid.in_lattice(p):
+            raise InvalidEndpointError(f"{name} {p} outside the corner lattice")
+        if p in graph.marked:
+            raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
+
+
 def _candidates(graph: ObstacleGraph, source: Point,
                 dest: Point) -> tuple[list[Point], np.ndarray, np.ndarray]:
     """Sorted unmarked obstacle vertices plus both endpoints, with their
@@ -323,11 +308,7 @@ def _candidates(graph: ObstacleGraph, source: Point,
     grid = graph.grid
     if max(grid.cols, grid.rows) >= _COORD_LIMIT:
         raise ValueError("grid too large for exact slope keys")
-    for name, p in (("source", source), ("destination", dest)):
-        if not grid.in_lattice(p):
-            raise InvalidEndpointError(f"{name} {p} outside the corner lattice")
-        if p in graph.marked:
-            raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
+    check_endpoints(graph, source, dest)
     if source == dest:
         raise InvalidEndpointError("source equals destination")
     cx, cy = graph._ux, graph._uy
@@ -340,29 +321,27 @@ def _candidates(graph: ObstacleGraph, source: Point,
     return cand, cx, cy
 
 
-def _visible_right(graph: ObstacleGraph, pivot: Point, targets: list[Point],
-                   tx: np.ndarray, ty: np.ndarray) -> list[Point]:
-    """The targets that ``pivot`` sees, for targets in its closed right
-    half-plane whose coordinates are ``tx``/``ty``.
+def _visible(graph: ObstacleGraph, pivot: Point, tx: np.ndarray, ty: np.ndarray,
+             generic) -> np.ndarray:
+    """Which of the targets at ``tx``/``ty`` the pivot sees, as a bool mask.
 
-    Same-column and same-row targets take one :meth:`ObstacleGraph.clear`
-    query, exact-diagonal ones the corner test of :func:`visible_diagonal45`;
-    the generic ones share one rotational sweep around the pivot.
+    Same-column, same-row and exact-diagonal targets take one
+    :meth:`ObstacleGraph.clear` query, and the pivot itself is never
+    visible. The generic targets go to ``generic(graph, pivot, tx, ty)``,
+    which returns their mask: the sweep for the reference graph, the
+    stabbing kernel for the lazy one.
     """
     px, py = pivot
-    dx = tx - px
-    dy = ty - py
-    axis = np.nonzero((dx == 0) | (dy == 0))[0]
-    visible = [targets[j] for j in axis[graph.clear(px, py, tx[axis], ty[axis])].tolist()]
-    for j in np.nonzero((dx > 0) & (dx == np.abs(dy)))[0].tolist():
-        if visible_diagonal45(pivot, targets[j], graph):
-            visible.append(targets[j])
-    gen = [targets[j]
-           for j in np.nonzero((dx > 0) & (dy != 0) & (dx != np.abs(dy)))[0].tolist()]
-    if gen:
-        flags = _sweep_flags(pivot, gen, _PivotPrep(graph, pivot))
-        visible.extend(t for t, f in zip(gen, flags) if f)
-    return visible
+    dx, dy = tx - px, ty - py
+    column, row = dx == 0, dy == 0
+    straight = column | row | (np.abs(dx) == np.abs(dy))
+    vis = np.zeros(len(tx), dtype=bool)
+    vis[straight] = graph.clear(px, py, tx[straight], ty[straight])
+    vis[column & row] = False
+    j = np.nonzero(~straight)[0]
+    if j.size:
+        vis[j] = generic(graph, pivot, tx[j], ty[j])
+    return vis
 
 
 def build_visibility_graph(graph: ObstacleGraph, source: Point,
@@ -382,7 +361,9 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point,
     p = graph.grid.cell_size_m
     edges = {}
     for i, pivot in enumerate(cand):
-        for t in _visible_right(graph, pivot, cand[i + 1:], cx[i + 1:], cy[i + 1:]):
+        vis = _visible(graph, pivot, cx[i + 1:], cy[i + 1:], _sweep_flags)
+        for j in np.nonzero(vis)[0].tolist():
+            t = cand[i + 1 + j]
             edges[(pivot, t)] = euclid_distance(pivot, t) * p
     return VisibilityGraph(cand, edges, p)
 
@@ -453,7 +434,7 @@ class LazyVisibilityGraph:
 
     Same vertices, weights and sorted adjacency as the eager graph, so a
     search that expands few vertices decides few neighbour lists. Each list
-    comes from one array kernel over all candidates:
+    comes from one array kernel over all candidates (:func:`_visible`):
 
     * same-column, same-row and exact-diagonal targets: one call to
       :meth:`ObstacleGraph.clear`, which searches the obstacle graph's
@@ -475,26 +456,9 @@ class LazyVisibilityGraph:
     def neighbors(self, v: Point) -> list[tuple[Point, float]]:
         adj = self._adjacency.get(v)
         if adj is None:
-            adj = self._adjacency[v] = self._visible_from(v)
+            vis = _visible(self._graph, v, self._cx, self._cy, _generic_visible)
+            p = self.cell_size_m
+            cand = self.vertices
+            adj = self._adjacency[v] = [(cand[i], euclid_distance(v, cand[i]) * p)
+                                        for i in np.nonzero(vis)[0].tolist()]
         return adj
-
-    def _visible_from(self, v: Point) -> list[tuple[Point, float]]:
-        graph = self._graph
-        vx, vy = v
-        cx, cy = self._cx, self._cy
-        dx, dy = cx - vx, cy - vy
-        vis = np.zeros(len(cx), dtype=bool)
-
-        column, row = dx == 0, dy == 0
-        straight = column | row | (np.abs(dx) == np.abs(dy))
-        vis[straight] = graph.clear(vx, vy, cx[straight], cy[straight])
-        vis[column & row] = False  # v itself
-
-        j = np.nonzero(~straight)[0]
-        if j.size:
-            vis[j] = _generic_visible(graph, v, cx[j], cy[j])
-
-        p = self.cell_size_m
-        cand = self.vertices
-        return [(cand[i], euclid_distance(v, cand[i]) * p)
-                for i in np.nonzero(vis)[0].tolist()]

@@ -14,7 +14,7 @@ from gridroute.errors import NoPathError
 from gridroute.gridmap import OccupancyGrid, serialize_map
 from gridroute.mapgen import SplitMix64, gen_random_map
 from gridroute.obstacle_graph import blocking_edges, build_obstacle_graph
-from gridroute.pathfind import dijkstra_shortest_path, format_length, path_length
+from gridroute.pathfind import dijkstra_shortest_path, format_length, waypoints_length
 from gridroute.planner import (PlanConfig, VoxelWorld, plan2d, plan2d_reference,
                                plan_rotated_planes, rotated_plane_slice)
 from gridroute.visibility import brute_force_visible, build_visibility_graph
@@ -79,14 +79,20 @@ def test_criterion_path_oracle_equivalence():
 
 
 def test_criterion_segment_sum_arithmetic():
-    """Two-decimal display of the printed route-length sums."""
+    """Two-decimal display of the printed route-length sums, over lattice
+    polylines whose squared segment lengths are the reference lists."""
     cases = [
-        ([162, 90], "22.21"),
-        ([36, 40, 8, 20, 8, 4], "24.45"),
-        ([9, 17, 5, 26, 13, 2, 5, 18, 13, 72], "38.05"),
+        ([(0, 0), (9, 9), (12, 18)], [162, 90], "22.21"),
+        ([(0, 0), (6, 0), (8, 6), (10, 8), (12, 12), (14, 14), (16, 14)],
+         [36, 40, 8, 20, 8, 4], "24.45"),
+        ([(0, 0), (3, 0), (4, 4), (5, 6), (6, 11), (8, 14), (9, 15), (11, 16),
+          (14, 19), (17, 21), (23, 27)],
+         [9, 17, 5, 26, 13, 2, 5, 18, 13, 72], "38.05"),
     ]
-    for squares, display in cases:
-        assert format_length(path_length(squares)) == display
+    for waypoints, squares, display in cases:
+        assert [(b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+                for a, b in zip(waypoints, waypoints[1:])] == squares
+        assert format_length(waypoints_length(waypoints, 1.0)) == display
     print("ACCEPTANCE segment-sum-arithmetic: PASS (3 reference sums)")
 
 

@@ -282,7 +282,7 @@ def test_lazy_and_reference_agree_on_errors():
     block = OccupancyGrid(4, 4)
     block.mark_cells([(x, y) for x in range(1, 3) for y in range(1, 3)])
     for s, d in (((2, 2), (4, 4)), ((0, 0), (2, 2)), ((0, 0), (5, 1)),
-                 ((-1, 0), (4, 4))):
+                 ((-1, 0), (4, 4)), ((2, 2), (2, 2))):
         for plan in (plan2d, plan2d_reference):
             with pytest.raises(InvalidEndpointError):
                 plan(block, s, d)

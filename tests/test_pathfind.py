@@ -8,9 +8,8 @@ from gridroute.errors import NoPathError
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
-from gridroute.pathfind import (Path, dijkstra_shortest_path, format_length,
-                                merge_collinear, path_from_text, path_length,
-                                path_to_text)
+from gridroute.pathfind import (Path, dijkstra_shortest_path, merge_collinear,
+                                path_from_text, path_to_text)
 from gridroute.visibility import brute_force_visible, build_visibility_graph
 
 from oracles import min_simple_path_length, oracle_visibility_graph
@@ -68,21 +67,6 @@ def test_dijkstra_rejects_unknown_vertices():
     _, gv = _gv([], 3, 3, (0, 0), (3, 3))
     with pytest.raises(ValueError):
         dijkstra_shortest_path(gv, (0, 0), (2, 2))
-
-
-def test_path_length_sqrt_sums():
-    assert format_length(path_length([162, 90])) == "22.21"
-    assert format_length(path_length([36, 40, 8, 20, 8, 4])) == "24.45"
-    assert format_length(path_length([9, 17, 5, 26, 13, 2, 5, 18, 13, 72])) == "38.05"
-
-
-def test_path_length_full_precision():
-    assert path_length([162, 90]) == pytest.approx(math.sqrt(162) + math.sqrt(90),
-                                                   rel=1e-15)
-    with pytest.raises(ValueError):
-        path_length([4, 0])
-    with pytest.raises(ValueError):
-        path_length([2.5])
 
 
 def test_deflection_points():

@@ -157,6 +157,9 @@ def test_voxel_parse_errors():
     assert err.value.line == 3
     with pytest.raises(MapParseError):
         parse_voxels("2 2 2 1.0\n..\n..\n..\n..\n")  # missing blank separator
+    with pytest.raises(MapParseError) as err:
+        parse_voxels("2 2 1 1.0\n..\n#.\n\n##\n##\n")  # a block past nz
+    assert err.value.line == 4
 
 
 def test_empty_world_straight_line_every_angle():

@@ -11,7 +11,7 @@ from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.planner import plan2d
 from gridroute.visibility import (LazyVisibilityGraph, brute_force_visible,
                                   build_visibility_graph, classify_pair,
-                                  sweep_visible_set, visible_diagonal45)
+                                  sweep_visible_set)
 
 from oracles import oracle_visibility_edges, segment_crosses_open_cell
 
@@ -57,27 +57,29 @@ def test_visible_horizontal_mirrors_vertical():
 
 
 def test_diagonal_blocked_through_left_bottom_corner():
-    _, gobs = _graph_with([(1, 1)])
-    assert not visible_diagonal45((0, 0), (3, 3), gobs)
+    grid, gobs = _graph_with([(1, 1)])
+    assert not gobs.clear(0, 0, 3, 3)
+    assert not brute_force_visible((0, 0), (3, 3), grid)
 
 
 def test_diagonal_corner_graze_is_visible():
     grid, gobs = _graph_with([(1, 0)])
-    assert visible_diagonal45((0, 0), (3, 3), gobs)
+    assert gobs.clear(0, 0, 3, 3)
     assert brute_force_visible((0, 0), (3, 3), grid)
 
 
 def test_diagonal_empty_grid():
-    _, gobs = _graph_with([])
-    assert visible_diagonal45((0, 0), (3, 3), gobs)
+    grid, gobs = _graph_with([])
+    assert gobs.clear(0, 0, 3, 3)
+    assert brute_force_visible((0, 0), (3, 3), grid)
 
 
 def test_diagonal_descending_left_top_corner():
     grid, gobs = _graph_with([(1, 1)])
-    assert not visible_diagonal45((0, 3), (3, 0), gobs)
+    assert not gobs.clear(0, 3, 3, 0)
     assert not brute_force_visible((0, 3), (3, 0), grid)
     grid, gobs = _graph_with([(1, 2)])
-    assert visible_diagonal45((0, 3), (3, 0), gobs)
+    assert gobs.clear(0, 3, 3, 0)
     assert brute_force_visible((0, 3), (3, 0), grid)
 
 
@@ -86,7 +88,7 @@ def test_diagonal_through_pivot_corner_is_blocked():
     # blocked by the pivot's corner role, from either end and in the search
     grid, gobs = _graph_with([(0, 0)], rows=4, cols=4)
     assert not brute_force_visible((0, 0), (2, 2), grid)
-    assert not visible_diagonal45((0, 0), (2, 2), gobs)
+    assert not gobs.clear(0, 0, 2, 2)
     assert not build_visibility_graph(gobs, (0, 0), (2, 2)).has_edge((0, 0), (2, 2))
     lazy = LazyVisibilityGraph(gobs, (0, 0), (2, 2))
     assert (2, 2) not in {t for t, _ in lazy.neighbors((0, 0))}
