@@ -14,8 +14,7 @@ from .geometry import Point, Segment, cross, euclid_distance
 from .gridmap import (OccupancyGrid, convex_hull, discretize_dimensions,
                       parse_map, rasterize_hull, serialize_map)
 from .mapgen import SplitMix64, gen_random_map
-from .obstacle_graph import (ObstacleEdge, ObstacleGraph, blocking_edges,
-                             build_obstacle_graph)
+from .obstacle_graph import ObstacleEdge, ObstacleGraph, build_obstacle_graph
 from .pathfind import (Path, dijkstra_shortest_path, format_length,
                        merge_collinear, path_from_text, path_to_text,
                        waypoints_length)

@@ -4,6 +4,9 @@ A grid of ``rows x cols`` unit cells discretizes a rectangular region at a
 chosen precision (the cell size in meters). Each cell is wholly obstacle or
 wholly free; obstacle polygons are replaced by their convex hull and any
 cell whose open interior overlaps the hull with positive area is marked.
+One numpy separating-axis pass decides all cells of the hull's bounding
+box; they overlap the hull on x and y by construction, so only the hull's
+edge normals are tested.
 The lattice origin (0, 0) is the lower-left corner; map files list rows
 top to bottom so the first data line is the top row.
 """
@@ -21,6 +24,14 @@ from .geometry import Point
 RealPoint = tuple[float, float]
 
 
+def check_shape(dims: tuple[int, ...], cell_size_m: float) -> None:
+    """Raise ValueError unless each dimension is at least 1 and the cell size positive."""
+    if min(dims) < 1:
+        raise ValueError(f"every dimension must be at least 1, got {dims}")
+    if not (cell_size_m > 0):
+        raise ValueError("cell size must be positive")
+
+
 class OccupancyGrid:
     """Boolean obstacle field over ``rows x cols`` cells of size ``cell_size_m``.
 
@@ -33,10 +44,7 @@ class OccupancyGrid:
 
     def __init__(self, rows: int, cols: int, cell_size_m: float = 1.0,
                  occupied: np.ndarray | None = None):
-        if rows < 1 or cols < 1:
-            raise ValueError("grid dimensions must be at least 1x1")
-        if not (cell_size_m > 0):
-            raise ValueError("cell size must be positive")
+        check_shape((rows, cols), cell_size_m)
         self.rows = int(rows)
         self.cols = int(cols)
         self.cell_size_m = float(cell_size_m)
@@ -134,62 +142,44 @@ def convex_hull(points) -> list[RealPoint]:
     return hull
 
 
-def _polygon_overlaps_open_cell(pts: list[RealPoint], col: int, row: int) -> bool:
-    # Separating-axis test between the convex polygon and the open unit cell:
-    # interiors meet iff the projections overlap strictly on every axis
-    # (cell axes x and y, plus each polygon edge normal).
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    if not (max(xs) > col and min(xs) < col + 1):
-        return False
-    if not (max(ys) > row and min(ys) < row + 1):
-        return False
-    corners = ((col, row), (col + 1, row), (col + 1, row + 1), (col, row + 1))
-    n = len(pts)
-    for i in range(n):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        nx, ny = -(by - ay), bx - ax
-        if nx == 0 and ny == 0:
-            continue
-        hmin = hmax = nx * pts[0][0] + ny * pts[0][1]
-        for px, py in pts[1:]:
-            v = nx * px + ny * py
-            hmin = v if v < hmin else hmin
-            hmax = v if v > hmax else hmax
-        cmin = cmax = nx * corners[0][0] + ny * corners[0][1]
-        for px, py in corners[1:]:
-            v = nx * px + ny * py
-            cmin = v if v < cmin else cmin
-            cmax = v if v > cmax else cmax
-        if not (hmax > cmin and hmin < cmax):
-            return False
-    return True
-
-
 def rasterize_hull(hull, grid: OccupancyGrid) -> set[tuple[int, int]]:
     """Mark every cell whose open interior overlaps the hull with positive area.
 
     Hull vertices are in meters and are scaled by the grid cell size. Cells
     that merely share an edge or corner with the hull stay free. Marking is
     cumulative across calls and returns the set of cells marked by this hull.
-    Raises :class:`OutOfBoundsError` if the hull leaves the grid region.
+    Raises :class:`OutOfBoundsError` if the hull leaves the grid region or
+    has a non-finite vertex.
+
+    One separating-axis pass over the bounding-box cells, ``floor(min)`` to
+    ``ceil(max) - 1`` on each axis, which overlap the hull strictly on x and
+    y by construction: a cell is kept iff, on every non-zero edge normal, the
+    projection of its four corners overlaps the hull's strictly.
     """
     p = grid.cell_size_m
     pts = [(float(x) / p, float(y) / p) for x, y in hull]
     if len(pts) < 3:
         raise DegenerateObstacleError("hull needs at least 3 vertices")
-    xs = [q[0] for q in pts]
-    ys = [q[1] for q in pts]
-    if min(xs) < 0 or min(ys) < 0 or max(xs) > grid.cols or max(ys) > grid.rows:
+    xs, ys = np.array(pts).T
+    # numpy minima and maxima propagate NaN, which fails every comparison
+    if not (xs.min() >= 0 and ys.min() >= 0
+            and xs.max() <= grid.cols and ys.max() <= grid.rows):
         raise OutOfBoundsError("obstacle hull extends beyond the grid region")
-    cells: set[tuple[int, int]] = set()
-    for row in range(max(0, math.floor(min(ys))), min(grid.rows, math.ceil(max(ys)))):
-        for col in range(max(0, math.floor(min(xs))), min(grid.cols, math.ceil(max(xs)))):
-            if _polygon_overlaps_open_cell(pts, col, row):
-                cells.add((col, row))
-    grid.mark_cells(cells)
-    return cells
+    x0, y0 = math.floor(xs.min()), math.floor(ys.min())
+    # the four corners of every box cell, as (4, 1, cols) and (4, rows, 1)
+    cx = np.arange(x0, math.ceil(xs.max())) + np.array([0, 1, 1, 0])[:, None, None]
+    cy = np.arange(y0, math.ceil(ys.max()))[:, None] + np.array([0, 0, 1, 1])[:, None, None]
+    keep = np.ones((cy.shape[1], cx.shape[2]), dtype=bool)
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        nx, ny = -(by - ay), bx - ax
+        if nx == 0 and ny == 0:
+            continue
+        h = nx * xs + ny * ys
+        c = nx * cx + ny * cy
+        keep &= (h.max() > c.min(axis=0)) & (h.min() < c.max(axis=0))
+    grid.occupied[y0:y0 + keep.shape[0], x0:x0 + keep.shape[1]] |= keep
+    rows, cols = np.nonzero(keep)
+    return set(zip((cols + x0).tolist(), (rows + y0).tolist()))
 
 
 def parse_map(text: str) -> tuple[OccupancyGrid, Point | None, Point | None]:
@@ -210,22 +200,24 @@ def parse_map(text: str) -> tuple[OccupancyGrid, Point | None, Point | None]:
     except ValueError:
         raise MapParseError("malformed header numbers", 1) from None
     try:
-        grid = OccupancyGrid(rows, cols, cell)
+        check_shape((rows, cols), cell)
     except ValueError as exc:
         raise MapParseError(str(exc), 1) from None
+    # the grid is allocated once its rows are read, not from the header alone
     if len(lines) < rows + 1:
         raise MapParseError(f"expected {rows} row lines", len(lines) + 1)
-    for i in range(rows):
-        line_no = i + 2
-        row_text = lines[1 + i]
+    cells: list[tuple[int, int]] = []
+    for line_no, row_text in enumerate(lines[1:rows + 1], start=2):
         if len(row_text) != cols:
             raise MapParseError(f"expected {cols} characters, got {len(row_text)}", line_no)
-        y = rows - 1 - i
+        y = rows + 1 - line_no
         for x, ch in enumerate(row_text):
             if ch == "#":
-                grid.occupied[y, x] = True
+                cells.append((x, y))
             elif ch != ".":
                 raise MapParseError(f"unknown character {ch!r}", line_no)
+    grid = OccupancyGrid(rows, cols, cell)
+    grid.mark_cells(cells)
     source: Point | None = None
     dest: Point | None = None
     for j, extra in enumerate(lines[rows + 1:]):

@@ -9,7 +9,7 @@ upper-right corner (cols, rows), are never occupied.
 
 from __future__ import annotations
 
-from .gridmap import OccupancyGrid
+from .gridmap import OccupancyGrid, check_shape
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -39,8 +39,7 @@ def gen_random_map(rows: int, cols: int, obstacle_count: int, seed: int,
     row-major order; a partial Fisher-Yates shuffle driven by splitmix64
     picks the prefix. Equal inputs give byte-identical grids.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be at least 1x1")
+    check_shape((rows, cols), cell_size_m)
     protected = {0, rows * cols - 1}
     capacity = rows * cols - len(protected)
     if not (0 <= obstacle_count <= capacity):

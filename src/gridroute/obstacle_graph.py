@@ -138,8 +138,3 @@ class ObstacleGraph:
 
 def build_obstacle_graph(grid: OccupancyGrid) -> ObstacleGraph:
     return ObstacleGraph(grid)
-
-
-def blocking_edges(graph: ObstacleGraph) -> set[ObstacleEdge]:
-    """Edges shared by two occupied cells, found in one pass over the edges."""
-    return {e for e in graph.edges if e.shared_obstacle_cells == 2}

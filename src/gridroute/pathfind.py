@@ -85,8 +85,6 @@ def dijkstra_shortest_path(gv: VisibilityGraph | LazyVisibilityGraph,
         raise ValueError(f"source {source} is not a graph vertex")
     if dest not in gv.vertex_set:
         raise ValueError(f"destination {dest} is not a graph vertex")
-    if source == dest:
-        return Path((source,), 0.0)
     scale = _H_SCALE * gv.cell_size_m
     ex, ey = dest
     h0 = math.hypot(source[0] - ex, source[1] - ey) * scale

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidEndpointError, MapParseError, NoPathError
 from .geometry import Point
-from .gridmap import OccupancyGrid
+from .gridmap import OccupancyGrid, check_shape
 from .obstacle_graph import build_obstacle_graph
 from .pathfind import Path, dijkstra_shortest_path
 from .visibility import LazyVisibilityGraph, build_visibility_graph, check_endpoints
@@ -140,10 +140,7 @@ class VoxelWorld:
 
     def __init__(self, nx: int, ny: int, nz: int, voxel_size_m: float = 1.0,
                  occupied: np.ndarray | None = None):
-        if min(nx, ny, nz) < 1:
-            raise ValueError("voxel dimensions must be at least 1")
-        if not (voxel_size_m > 0):
-            raise ValueError("voxel size must be positive")
+        check_shape((nx, ny, nz), voxel_size_m)
         self.nx, self.ny, self.nz = int(nx), int(ny), int(nz)
         self.voxel_size_m = float(voxel_size_m)
         if occupied is None:
@@ -178,30 +175,33 @@ def parse_voxels(text: str) -> VoxelWorld:
     except ValueError:
         raise MapParseError("malformed header numbers", 1) from None
     try:
-        world = VoxelWorld(nx, ny, nz, size)
+        check_shape((nx, ny, nz), size)
     except ValueError as exc:
         raise MapParseError(str(exc), 1) from None
+    voxels: list[tuple[int, int, int]] = []
     ln = 1
     for z in range(nz):
         if z > 0:
             if ln >= len(lines) or lines[ln].strip():
                 raise MapParseError("expected blank line between blocks", ln + 1)
             ln += 1
-        for i in range(ny):
+        for y in range(ny - 1, -1, -1):
             if ln >= len(lines):
                 raise MapParseError(f"expected {ny} rows in block {z}", ln + 1)
             row = lines[ln]
             if len(row) != nx:
                 raise MapParseError(f"expected {nx} characters, got {len(row)}", ln + 1)
-            y = ny - 1 - i
             for x, ch in enumerate(row):
                 if ch == "#":
-                    world.occupied[x, y, z] = True
+                    voxels.append((x, y, z))
                 elif ch != ".":
                     raise MapParseError(f"unknown character {ch!r}", ln + 1)
             ln += 1
     if ln < len(lines):
         raise MapParseError("unexpected line after the last block", ln + 1)
+    world = VoxelWorld(nx, ny, nz, size)
+    for v in voxels:
+        world.occupied[v] = True
     return world
 
 

@@ -309,8 +309,6 @@ def _candidates(graph: ObstacleGraph, source: Point,
     if max(grid.cols, grid.rows) >= _COORD_LIMIT:
         raise ValueError("grid too large for exact slope keys")
     check_endpoints(graph, source, dest)
-    if source == dest:
-        raise InvalidEndpointError("source equals destination")
     cx, cy = graph._ux, graph._uy
     cand = list(zip(cx.tolist(), cy.tolist()))
     for p in (source, dest):

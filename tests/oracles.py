@@ -1,14 +1,14 @@
 """Independent oracles used by the tests.
 
 Each oracle recomputes an answer from first principles, without touching
-the code path it checks: gift wrapping for hulls, Monte-Carlo sampling for
-rasterization, per-lattice-point recounts for the obstacle graph, a
-per-cell test of a segment against one open cell, all-pairs ground-truth
-visibility, branch-and-bound enumeration of simple paths,
-plain Dijkstra as the reference for the planner's search order, the
-per-cell plane slicer as the reference for the vectorised one, sampled
-points for the plane slicer, and the full plane fan for the fan that stops
-early.
+the code path it checks: gift wrapping for hulls, Monte-Carlo sampling and
+a per-cell separating-axis test for rasterization, per-lattice-point
+recounts for the obstacle graph, a per-cell test of a segment against one
+open cell, all-pairs ground-truth visibility, branch-and-bound enumeration
+of simple paths, plain Dijkstra as the reference for the planner's search
+order, the per-cell plane slicer as the reference for the vectorised one,
+sampled points for the plane slicer, and the full plane fan for the fan
+that stops early.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import math
 
 import numpy as np
 
-from gridroute.errors import InvalidEndpointError, NoPathError
+from gridroute.errors import (DegenerateObstacleError, InvalidEndpointError,
+                              NoPathError, OutOfBoundsError)
 from gridroute.geometry import Segment, euclid_distance
-from gridroute.gridmap import OccupancyGrid
+from gridroute.gridmap import OccupancyGrid, RealPoint
 from gridroute.obstacle_graph import ObstacleEdge
 from gridroute.pathfind import Path, merge_collinear, waypoints_length
 from gridroute.planner import (PlanConfig, PlaneSlice, Point3, VoxelWorld,
@@ -83,6 +84,66 @@ def mc_rasterize(hull_ccw_m, grid: OccupancyGrid, samples: int = 100_000,
             if inside.any():
                 hit.add((col, row))
     return hit
+
+
+def _polygon_overlaps_open_cell(pts: list[RealPoint], col: int, row: int) -> bool:
+    # Separating-axis test between the convex polygon and the open unit cell:
+    # interiors meet iff the projections overlap strictly on every axis
+    # (cell axes x and y, plus each polygon edge normal).
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    if not (max(xs) > col and min(xs) < col + 1):
+        return False
+    if not (max(ys) > row and min(ys) < row + 1):
+        return False
+    corners = ((col, row), (col + 1, row), (col + 1, row + 1), (col, row + 1))
+    n = len(pts)
+    for i in range(n):
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % n]
+        nx, ny = -(by - ay), bx - ax
+        if nx == 0 and ny == 0:
+            continue
+        hmin = hmax = nx * pts[0][0] + ny * pts[0][1]
+        for px, py in pts[1:]:
+            v = nx * px + ny * py
+            hmin = v if v < hmin else hmin
+            hmax = v if v > hmax else hmax
+        cmin = cmax = nx * corners[0][0] + ny * corners[0][1]
+        for px, py in corners[1:]:
+            v = nx * px + ny * py
+            cmin = v if v < cmin else cmin
+            cmax = v if v > cmax else cmax
+        if not (hmax > cmin and hmin < cmax):
+            return False
+    return True
+
+
+def rasterize_reference(hull, grid: OccupancyGrid) -> set[tuple[int, int]]:
+    """Per-cell reference for :func:`gridroute.gridmap.rasterize_hull`.
+
+    Mark every cell whose open interior overlaps the hull with positive area.
+
+    Hull vertices are in meters and are scaled by the grid cell size. Cells
+    that merely share an edge or corner with the hull stay free. Marking is
+    cumulative across calls and returns the set of cells marked by this hull.
+    Raises :class:`OutOfBoundsError` if the hull leaves the grid region.
+    """
+    p = grid.cell_size_m
+    pts = [(float(x) / p, float(y) / p) for x, y in hull]
+    if len(pts) < 3:
+        raise DegenerateObstacleError("hull needs at least 3 vertices")
+    xs = [q[0] for q in pts]
+    ys = [q[1] for q in pts]
+    if min(xs) < 0 or min(ys) < 0 or max(xs) > grid.cols or max(ys) > grid.rows:
+        raise OutOfBoundsError("obstacle hull extends beyond the grid region")
+    cells: set[tuple[int, int]] = set()
+    for row in range(max(0, math.floor(min(ys))), min(grid.rows, math.ceil(max(ys)))):
+        for col in range(max(0, math.floor(min(xs))), min(grid.cols, math.ceil(max(xs)))):
+            if _polygon_overlaps_open_cell(pts, col, row):
+                cells.add((col, row))
+    grid.mark_cells(cells)
+    return cells
 
 
 def incident_cells(grid: OccupancyGrid, p) -> int:

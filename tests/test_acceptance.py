@@ -13,7 +13,7 @@ from gridroute.cli import main
 from gridroute.errors import NoPathError
 from gridroute.gridmap import OccupancyGrid, serialize_map
 from gridroute.mapgen import SplitMix64, gen_random_map
-from gridroute.obstacle_graph import blocking_edges, build_obstacle_graph
+from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.pathfind import dijkstra_shortest_path, format_length, waypoints_length
 from gridroute.planner import (PlanConfig, VoxelWorld, plan2d, plan2d_reference,
                                plan_rotated_planes, rotated_plane_slice)
@@ -209,11 +209,12 @@ def test_criterion_structural_counts():
     assert len(gobs.vertices) == 9
     assert len(gobs.marked) == 1
     assert len(gobs.edges) == 12
-    assert len(blocking_edges(gobs)) == 4
+    assert len([e for e in gobs.edges if e.blocking]) == 4
     for k in (2, 3, 4, 5):
         g = OccupancyGrid(k, k)
         g.mark_cells([(x, y) for x in range(k) for y in range(k)])
-        assert len(blocking_edges(build_obstacle_graph(g))) == 2 * k * (k - 1)
+        blocking = [e for e in build_obstacle_graph(g).edges if e.blocking]
+        assert len(blocking) == 2 * k * (k - 1)
     print("ACCEPTANCE structural-counts: PASS (2x2 block and k in {2,3,4,5})")
 
 

@@ -50,6 +50,14 @@ def test_plan_bad_map_exits_one(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_plan_unallocatable_header_exits_one(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("100000000 100000000 1.0\n")
+    assert main(["plan", "--map", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2") and len(err.splitlines()) == 1
+
+
 def test_plan_missing_file_exits_one(tmp_path):
     assert main(["plan", "--map", str(tmp_path / "nope.txt")]) == 1
 

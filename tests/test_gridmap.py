@@ -1,5 +1,6 @@
 """Tests for grid construction, hull rasterization and map text I/O."""
 
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from gridroute.gridmap import (OccupancyGrid, convex_hull,
                                rasterize_hull, serialize_map)
 from gridroute.mapgen import gen_random_map
 
-from oracles import gift_wrap_hull, mc_rasterize
+from oracles import gift_wrap_hull, mc_rasterize, rasterize_reference
 
 
 def test_discretize_exact_meters():
@@ -125,6 +126,67 @@ def test_rasterize_out_of_bounds():
     g = OccupancyGrid(3, 3)
     with pytest.raises(OutOfBoundsError):
         rasterize_hull([(1, 1), (5, 1), (5, 5), (1, 5)], g)
+    # a non-finite vertex, NaN included, in every position
+    tri = [(1.0, 1.0), (3.0, 1.0), (2.0, 2.0)]
+    for i in range(3):
+        for bad in ((math.nan, tri[i][1]), (tri[i][0], math.nan),
+                    (math.inf, tri[i][1]), (-math.inf, tri[i][1]),
+                    (tri[i][0], math.inf), (tri[i][0], -math.inf)):
+            g = OccupancyGrid(4, 4)
+            with pytest.raises(OutOfBoundsError):
+                rasterize_hull(tri[:i] + [bad] + tri[i + 1:], g)
+            assert g.occupied_count() == 0
+
+
+def _rasterize_corpus(rng):
+    """Seeded finite hulls with a grid each, some of them out of bounds."""
+    for k in range(2400):
+        cell = rng.choice((0.1, 0.3, 0.5, 1.0, 2.5))
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if k % 2:
+            # half-lattice vertices: edges through cell corners and along sides
+            pts = [(rng.randint(0, 2 * cols) / 2, rng.randint(0, 2 * rows) / 2)
+                   for _ in range(rng.randint(3, 6))]
+        else:
+            m = 0.5 if rng.random() < 0.2 else 0.0   # margin: may leave the grid
+            pts = [(rng.uniform(-m, cols + m), rng.uniform(-m, rows + m))
+                   for _ in range(rng.randint(3, 6))]
+        try:
+            hull = convex_hull(pts)
+        except DegenerateObstacleError:
+            hull = pts
+        if rng.random() < 0.5:
+            hull = hull[::-1]
+        if rng.random() < 0.2:
+            i = rng.randrange(len(hull))
+            hull = hull[:i + 1] + hull[i:]
+        hull = [(x * cell, y * cell) for x, y in hull]
+        marked = [(rng.randrange(cols), rng.randrange(rows))
+                  for _ in range(rng.randint(0, 3))]
+        yield hull, rows, cols, cell, marked
+
+
+def test_rasterize_matches_reference():
+    mismatches, marked_any = 0, 0
+    for hull, rows, cols, cell, marked in _rasterize_corpus(random.Random(10)):
+        got, want = OccupancyGrid(rows, cols, cell), OccupancyGrid(rows, cols, cell)
+        got.mark_cells(marked)
+        want.mark_cells(marked)
+        try:
+            cells = rasterize_hull(hull, got)
+        except ValueError as exc:
+            cells = type(exc)
+        try:
+            ref = rasterize_reference(hull, want)
+        except ValueError as exc:
+            ref = type(exc)
+        marked_any += isinstance(ref, set) and bool(ref)
+        if cells != ref or got != want or (
+                isinstance(cells, set)
+                and any(type(v) is not int for c in cells for v in c)):
+            mismatches += 1
+    assert mismatches == 0
+    assert marked_any > 1000
 
 
 def test_parse_map_basic():
@@ -159,6 +221,14 @@ def test_parse_map_errors_name_lines():
     with pytest.raises(MapParseError) as err:
         parse_map("2 2 1.0\n..\n..\nS 9 0\n")
     assert err.value.line == 4
+    for header_only in ("0 5 1.0\n", "-3 -3 1.0\n", "2 2 -1.0\n"):
+        with pytest.raises(MapParseError) as err:
+            parse_map(header_only)
+        assert err.value.line == 1
+    # a header too large to allocate, with none of its rows
+    with pytest.raises(MapParseError) as err:
+        parse_map("100000000 100000000 1.0\n")
+    assert err.value.line == 2
 
 
 def test_map_roundtrip_seeded():

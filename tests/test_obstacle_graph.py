@@ -8,7 +8,7 @@ import pytest
 
 from gridroute.gridmap import OccupancyGrid
 from gridroute.mapgen import gen_random_map
-from gridroute.obstacle_graph import ObstacleEdge, blocking_edges, build_obstacle_graph
+from gridroute.obstacle_graph import ObstacleEdge, build_obstacle_graph
 
 from oracles import (incident_cells, recount_blocking, recount_marked,
                      recount_obstacle_graph)
@@ -25,7 +25,7 @@ def test_single_cell_counts():
     assert len(gobs.vertices) == 4
     assert len(gobs.marked) == 0
     assert len(gobs.edges) == 4
-    assert len(blocking_edges(gobs)) == 0
+    assert len([e for e in gobs.edges if e.blocking]) == 0
 
 
 def test_domino_counts():
@@ -33,7 +33,7 @@ def test_domino_counts():
     assert len(gobs.vertices) == 6
     assert len(gobs.marked) == 0
     assert len(gobs.edges) == 7
-    blocks = blocking_edges(gobs)
+    blocks = [e for e in gobs.edges if e.blocking]
     assert {(e.a, e.b) for e in blocks} == {((1, 0), (1, 1))}
 
 
@@ -42,14 +42,14 @@ def test_two_by_two_block_counts():
     assert len(gobs.vertices) == 9
     assert gobs.marked == {(2, 2)}
     assert len(gobs.edges) == 12
-    assert len(blocking_edges(gobs)) == 4
+    assert len([e for e in gobs.edges if e.blocking]) == 4
 
 
 def test_kxk_block_blocking_counts():
     for k in (2, 3, 4, 5):
         cells = [(x, y) for x in range(k) for y in range(k)]
         gobs = build_obstacle_graph(_grid_with(cells, rows=k + 1, cols=k + 1))
-        assert len(blocking_edges(gobs)) == 2 * k * (k - 1)
+        assert len([e for e in gobs.edges if e.blocking]) == 2 * k * (k - 1)
 
 
 def test_marked_three_by_three():
@@ -74,7 +74,7 @@ def test_blocking_matches_recount_on_seeded_grids():
     for seed in range(10):
         grid = gen_random_map(20, 20, 120 + seed * 10, seed)
         gobs = build_obstacle_graph(grid)
-        assert {(e.a, e.b) for e in blocking_edges(gobs)} == recount_blocking(grid)
+        assert {(e.a, e.b) for e in gobs.edges if e.blocking} == recount_blocking(grid)
 
 
 def test_vertex_upper_bound():
@@ -93,7 +93,7 @@ def test_isolated_cells_hit_vertex_bound():
 def test_marked_vertex_edges_all_blocking():
     grid = gen_random_map(15, 15, 110, 4)
     gobs = build_obstacle_graph(grid)
-    blocks = {(e.a, e.b) for e in blocking_edges(gobs)}
+    blocks = {(e.a, e.b) for e in gobs.edges if e.blocking}
     for v in gobs.marked:
         incident = [e for e in gobs.edges if v in (e.a, e.b)]
         assert len(incident) == 4
@@ -103,7 +103,7 @@ def test_marked_vertex_edges_all_blocking():
 def test_blocking_endpoints_touch_two_cells():
     grid = gen_random_map(15, 15, 90, 5)
     gobs = build_obstacle_graph(grid)
-    for e in blocking_edges(gobs):
+    for e in [e for e in gobs.edges if e.blocking]:
         for p in (e.a, e.b):
             assert p in gobs.vertices
             assert incident_cells(grid, p) >= 2

@@ -10,7 +10,8 @@ from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.pathfind import (Path, dijkstra_shortest_path, merge_collinear,
                                 path_from_text, path_to_text)
-from gridroute.visibility import brute_force_visible, build_visibility_graph
+from gridroute.visibility import (LazyVisibilityGraph, brute_force_visible,
+                                  build_visibility_graph)
 
 from oracles import min_simple_path_length, oracle_visibility_graph
 
@@ -61,6 +62,13 @@ def test_dijkstra_same_endpoint():
     assert path.waypoints == ((0, 0),)
     assert path.length_m == 0.0
     assert path.deflections == []
+    # both graph kinds accept a same-endpoint query
+    grid = OccupancyGrid(4, 4)
+    grid.mark_cells([(1, 1), (2, 1)])
+    gobs = build_obstacle_graph(grid)
+    for p in ((0, 0), (1, 1), (3, 2)):
+        for make in (build_visibility_graph, LazyVisibilityGraph):
+            assert dijkstra_shortest_path(make(gobs, p, p), p, p) == Path((p,), 0.0)
 
 
 def test_dijkstra_rejects_unknown_vertices():

@@ -160,6 +160,9 @@ def test_voxel_parse_errors():
     with pytest.raises(MapParseError) as err:
         parse_voxels("2 2 1 1.0\n..\n#.\n\n##\n##\n")  # a block past nz
     assert err.value.line == 4
+    with pytest.raises(MapParseError) as err:
+        parse_voxels("1000000 1000000 1000000 1.0\n")  # too large to allocate
+    assert err.value.line == 2
 
 
 def test_empty_world_straight_line_every_angle():

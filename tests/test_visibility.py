@@ -203,8 +203,6 @@ def test_build_rejects_bad_endpoints():
         build_visibility_graph(gobs, (2, 2), (6, 6))
     with pytest.raises(InvalidEndpointError):
         build_visibility_graph(gobs, (0, 0), (9, 0))
-    with pytest.raises(InvalidEndpointError):
-        build_visibility_graph(gobs, (0, 0), (0, 0))
 
 
 def test_build_matches_oracle_on_seeded_grids():
