@@ -9,6 +9,10 @@ box; they overlap the hull on x and y by construction, so only the hull's
 edge normals are tested.
 The lattice origin (0, 0) is the lower-left corner; map files list rows
 top to bottom so the first data line is the top row.
+Map files and :mod:`gridroute.planner`'s voxel files share one reader,
+:func:`read_header` and :func:`read_rows`, and one writer, :func:`write_rows`.
+A block of rows is checked first for its row count, then row by row for
+the width and then the characters.
 """
 
 from __future__ import annotations
@@ -25,11 +29,27 @@ RealPoint = tuple[float, float]
 
 
 def check_shape(dims: tuple[int, ...], cell_size_m: float) -> None:
-    """Raise ValueError unless each dimension is at least 1 and the cell size positive."""
+    """Raise ValueError unless each dimension is at least 1 and the cell size in (0, inf)."""
     if min(dims) < 1:
         raise ValueError(f"every dimension must be at least 1, got {dims}")
     if not (cell_size_m > 0):
         raise ValueError("cell size must be positive")
+    if cell_size_m == math.inf:
+        raise ValueError("cell size must be finite")
+
+
+def occupancy_array(dims: tuple[int, ...], cell_size_m: float,
+                    occupied: np.ndarray | None) -> np.ndarray:
+    """A new grid's or voxel world's cells after :func:`check_shape`: all
+    free, or a bool copy of ``occupied``, which must have shape ``dims``."""
+    check_shape(dims, cell_size_m)
+    shape = tuple(int(d) for d in dims)
+    if occupied is None:
+        return np.zeros(shape, dtype=bool)
+    arr = np.array(occupied, dtype=bool, copy=True)
+    if arr.shape != shape:
+        raise ValueError("occupancy array shape does not match dimensions")
+    return arr
 
 
 class OccupancyGrid:
@@ -44,17 +64,9 @@ class OccupancyGrid:
 
     def __init__(self, rows: int, cols: int, cell_size_m: float = 1.0,
                  occupied: np.ndarray | None = None):
-        check_shape((rows, cols), cell_size_m)
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.occupied = occupancy_array((rows, cols), cell_size_m, occupied)
+        self.rows, self.cols = self.occupied.shape
         self.cell_size_m = float(cell_size_m)
-        if occupied is None:
-            self.occupied = np.zeros((self.rows, self.cols), dtype=bool)
-        else:
-            arr = np.array(occupied, dtype=bool, copy=True)
-            if arr.shape != (self.rows, self.cols):
-                raise ValueError("occupancy array shape does not match dimensions")
-            self.occupied = arr
 
     def is_occupied(self, col: int, row: int) -> bool:
         if 0 <= col < self.cols and 0 <= row < self.rows:
@@ -78,9 +90,10 @@ class OccupancyGrid:
         return int(self.occupied.sum())
 
     def in_lattice(self, p: Point) -> bool:
-        """True iff ``p`` is a corner-lattice point of this grid."""
+        """True iff ``p`` is a corner-lattice point of this grid, in integers."""
         x, y = p
-        return 0 <= x <= self.cols and 0 <= y <= self.rows
+        return (isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer))
+                and 0 <= x <= self.cols and 0 <= y <= self.rows)
 
     def copy(self) -> "OccupancyGrid":
         return OccupancyGrid(self.rows, self.cols, self.cell_size_m, self.occupied)
@@ -104,8 +117,8 @@ def discretize_dimensions(region_rows_m: float, region_cols_m: float,
     Rows and columns are the ceilings of the exact quotients; computed with
     rational arithmetic so float dust cannot push a quotient past an integer.
     """
-    if not (region_rows_m > 0 and region_cols_m > 0 and precision_m > 0):
-        raise ValueError("region dimensions and precision must be positive")
+    if not all(0 < v < math.inf for v in (region_rows_m, region_cols_m, precision_m)):
+        raise ValueError("region dimensions and precision must be positive and finite")
     p = Fraction(precision_m)
     rows = math.ceil(Fraction(region_rows_m) / p)
     cols = math.ceil(Fraction(region_cols_m) / p)
@@ -182,6 +195,59 @@ def rasterize_hull(hull, grid: OccupancyGrid) -> set[tuple[int, int]]:
     return set(zip((cols + x0).tolist(), (rows + y0).tolist()))
 
 
+def read_header(lines: list[str], fields: str, empty: str) -> tuple[tuple[int, ...], float]:
+    """Dimensions and cell size from a header of ``fields``, such as
+    ``'<rows> <cols> <cell_size_m>'``; every fault is at line 1."""
+    if not lines:
+        raise MapParseError(empty, 1)
+    head = lines[0].split()
+    if len(head) != len(fields.split()):
+        raise MapParseError(f"header must be '{fields}'", 1)
+    try:
+        dims, size = tuple(int(v) for v in head[:-1]), float(head[-1])
+    except ValueError:
+        raise MapParseError("malformed header numbers", 1) from None
+    try:
+        check_shape(dims, size)
+    except ValueError as exc:
+        raise MapParseError(str(exc), 1) from None
+    return dims, size
+
+
+def read_rows(lines: list[str], start: int, count: int, width: int,
+              missing: str) -> np.ndarray:
+    """``count`` rows of ``width`` ``#``/``.`` characters from ``lines[start]``
+    on, as a ``(count, width)`` bool array, True at ``#``, first row first.
+
+    Raises ``missing`` after the last line unless all rows are there, before
+    any allocation of that size; then names the first row of wrong width or
+    with a wrong character."""
+    if len(lines) < start + count:
+        raise MapParseError(missing, len(lines) + 1)
+    block = lines[start:start + count]
+    good = next((i for i, row in enumerate(block) if len(row) != width), count)
+    text = "".join(block[:good])
+    rest = text.lstrip("#.")
+    if rest:
+        raise MapParseError(f"unknown character {rest[0]!r}",
+                            start + (len(text) - len(rest)) // width + 1)
+    if good < count:
+        raise MapParseError(f"expected {width} characters, got {len(block[good])}",
+                            start + good + 1)
+    cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return (cells == ord("#")).reshape(count, width)
+
+
+def write_rows(block: np.ndarray) -> str:
+    """The rows of a 2D bool array as ``#``/``.`` lines, first row first,
+    joined by newlines; the inverse of :func:`read_rows`."""
+    rows, width = block.shape
+    chars = np.full((rows, width + 1), ord("."), dtype=np.uint8)
+    chars[:, :width][block] = ord("#")
+    chars[:, width] = ord("\n")
+    return chars.tobytes().decode("ascii")[:-1]
+
+
 def parse_map(text: str) -> tuple[OccupancyGrid, Point | None, Point | None]:
     """Parse the text map format; returns (grid, source, dest).
 
@@ -190,34 +256,9 @@ def parse_map(text: str) -> tuple[OccupancyGrid, Point | None, Point | None]:
     y = rows - 1), then optional ``S x y`` and ``D x y`` lattice points.
     """
     lines = text.splitlines()
-    if not lines:
-        raise MapParseError("empty map", 1)
-    head = lines[0].split()
-    if len(head) != 3:
-        raise MapParseError("header must be '<rows> <cols> <cell_size_m>'", 1)
-    try:
-        rows, cols, cell = int(head[0]), int(head[1]), float(head[2])
-    except ValueError:
-        raise MapParseError("malformed header numbers", 1) from None
-    try:
-        check_shape((rows, cols), cell)
-    except ValueError as exc:
-        raise MapParseError(str(exc), 1) from None
-    # the grid is allocated once its rows are read, not from the header alone
-    if len(lines) < rows + 1:
-        raise MapParseError(f"expected {rows} row lines", len(lines) + 1)
-    cells: list[tuple[int, int]] = []
-    for line_no, row_text in enumerate(lines[1:rows + 1], start=2):
-        if len(row_text) != cols:
-            raise MapParseError(f"expected {cols} characters, got {len(row_text)}", line_no)
-        y = rows + 1 - line_no
-        for x, ch in enumerate(row_text):
-            if ch == "#":
-                cells.append((x, y))
-            elif ch != ".":
-                raise MapParseError(f"unknown character {ch!r}", line_no)
-    grid = OccupancyGrid(rows, cols, cell)
-    grid.mark_cells(cells)
+    (rows, cols), cell = read_header(lines, "<rows> <cols> <cell_size_m>", "empty map")
+    block = read_rows(lines, 1, rows, cols, f"expected {rows} row lines")
+    grid = OccupancyGrid(rows, cols, cell, block[::-1])
     source: Point | None = None
     dest: Point | None = None
     for j, extra in enumerate(lines[rows + 1:]):
@@ -243,9 +284,7 @@ def parse_map(text: str) -> tuple[OccupancyGrid, Point | None, Point | None]:
 def serialize_map(grid: OccupancyGrid, source: Point | None = None,
                   dest: Point | None = None) -> str:
     """Canonical text form of a grid; inverse of :func:`parse_map`."""
-    out = [f"{grid.rows} {grid.cols} {grid.cell_size_m!r}"]
-    for y in range(grid.rows - 1, -1, -1):
-        out.append("".join("#" if grid.occupied[y, x] else "." for x in range(grid.cols)))
+    out = [f"{grid.rows} {grid.cols} {grid.cell_size_m!r}", write_rows(grid.occupied[::-1])]
     if source is not None:
         out.append(f"S {source[0]} {source[1]}")
     if dest is not None:

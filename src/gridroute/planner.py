@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidEndpointError, MapParseError, NoPathError
 from .geometry import Point
-from .gridmap import OccupancyGrid, check_shape
+from .gridmap import OccupancyGrid, occupancy_array, read_header, read_rows, write_rows
 from .obstacle_graph import build_obstacle_graph
 from .pathfind import Path, dijkstra_shortest_path
 from .visibility import LazyVisibilityGraph, build_visibility_graph, check_endpoints
@@ -140,16 +140,9 @@ class VoxelWorld:
 
     def __init__(self, nx: int, ny: int, nz: int, voxel_size_m: float = 1.0,
                  occupied: np.ndarray | None = None):
-        check_shape((nx, ny, nz), voxel_size_m)
-        self.nx, self.ny, self.nz = int(nx), int(ny), int(nz)
+        self.occupied = occupancy_array((nx, ny, nz), voxel_size_m, occupied)
+        self.nx, self.ny, self.nz = self.occupied.shape
         self.voxel_size_m = float(voxel_size_m)
-        if occupied is None:
-            self.occupied = np.zeros((self.nx, self.ny, self.nz), dtype=bool)
-        else:
-            arr = np.array(occupied, dtype=bool, copy=True)
-            if arr.shape != (self.nx, self.ny, self.nz):
-                raise ValueError("occupancy array shape does not match dimensions")
-            self.occupied = arr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoxelWorld):
@@ -165,56 +158,25 @@ def parse_voxels(text: str) -> VoxelWorld:
     block is y = ny - 1), blocks separated by one blank line and nothing
     after the last one."""
     lines = text.splitlines()
-    if not lines:
-        raise MapParseError("empty voxel file", 1)
-    head = lines[0].split()
-    if len(head) != 4:
-        raise MapParseError("header must be '<nx> <ny> <nz> <voxel_size_m>'", 1)
-    try:
-        nx, ny, nz, size = int(head[0]), int(head[1]), int(head[2]), float(head[3])
-    except ValueError:
-        raise MapParseError("malformed header numbers", 1) from None
-    try:
-        check_shape((nx, ny, nz), size)
-    except ValueError as exc:
-        raise MapParseError(str(exc), 1) from None
-    voxels: list[tuple[int, int, int]] = []
-    ln = 1
+    (nx, ny, nz), size = read_header(lines, "<nx> <ny> <nz> <voxel_size_m>",
+                                     "empty voxel file")
+    blocks = []
     for z in range(nz):
-        if z > 0:
-            if ln >= len(lines) or lines[ln].strip():
-                raise MapParseError("expected blank line between blocks", ln + 1)
-            ln += 1
-        for y in range(ny - 1, -1, -1):
-            if ln >= len(lines):
-                raise MapParseError(f"expected {ny} rows in block {z}", ln + 1)
-            row = lines[ln]
-            if len(row) != nx:
-                raise MapParseError(f"expected {nx} characters, got {len(row)}", ln + 1)
-            for x, ch in enumerate(row):
-                if ch == "#":
-                    voxels.append((x, y, z))
-                elif ch != ".":
-                    raise MapParseError(f"unknown character {ch!r}", ln + 1)
-            ln += 1
-    if ln < len(lines):
-        raise MapParseError("unexpected line after the last block", ln + 1)
-    world = VoxelWorld(nx, ny, nz, size)
-    for v in voxels:
-        world.occupied[v] = True
-    return world
+        start = 1 + z * (ny + 1)
+        if z > 0 and (start > len(lines) or lines[start - 1].strip()):
+            raise MapParseError("expected blank line between blocks", start)
+        blocks.append(read_rows(lines, start, ny, nx, f"expected {ny} rows in block {z}"))
+    if len(lines) > nz * (ny + 1):
+        raise MapParseError("unexpected line after the last block", nz * (ny + 1) + 1)
+    # blocks[z][row, x] with row 0 at y = ny - 1, to occupied[x, y, z]
+    return VoxelWorld(nx, ny, nz, size, np.transpose(np.array(blocks)[:, ::-1], (2, 1, 0)))
 
 
 def serialize_voxels(world: VoxelWorld) -> str:
     """Canonical text form of a voxel world; inverse of :func:`parse_voxels`."""
-    out = [f"{world.nx} {world.ny} {world.nz} {world.voxel_size_m!r}"]
-    for z in range(world.nz):
-        if z > 0:
-            out.append("")
-        for y in range(world.ny - 1, -1, -1):
-            out.append("".join("#" if world.occupied[x, y, z] else "."
-                               for x in range(world.nx)))
-    return "\n".join(out) + "\n"
+    blocks = (write_rows(world.occupied[:, ::-1, z].T) for z in range(world.nz))
+    return "\n".join([f"{world.nx} {world.ny} {world.nz} {world.voxel_size_m!r}",
+                      "\n\n".join(blocks)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -261,6 +223,8 @@ def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
     cell's corners times an axis, each voxel's own dot product with it), so
     contacts that only touch are decided the same way.
     """
+    if not all(map(math.isfinite, (*s3, *d3))):
+        raise ValueError("source and destination must be finite")
     s = np.array(s3, dtype=np.float64)
     d = np.array(d3, dtype=np.float64)
     delta = d - s
@@ -380,17 +344,10 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
                         config: PlanConfig | None = None) -> tuple[Path, float]:
     """Plan within each candidate plane and keep the shortest result.
 
-    Returns the winning in-plane path and its angle. Ties prefer the smaller
+    Returns the winning in-plane path and its angle; the winning plane is
+    ``rotated_plane_slice(world, s3, d3, theta)``. Ties prefer the smaller
     angle magnitude, then the positive sign (the candidate generated first).
     Raises :class:`NoPathError` when no plane admits a route.
-    """
-    path, theta, _ = _best_plane(world, s3, d3, config)
-    return path, theta
-
-
-def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
-                config: PlanConfig | None) -> tuple[Path, float, PlaneSlice]:
-    """:func:`plan_rotated_planes`, also returning the winning slice.
 
     The fan stops at the first plane whose route is the direct segment (two
     waypoints): every plane gives that segment the same length, and ties
@@ -399,7 +356,7 @@ def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
     config = config or PlanConfig()
     if tuple(s3) == tuple(d3):
         raise ValueError("source and destination coincide")
-    best: tuple[Path, float, PlaneSlice] | None = None
+    best: tuple[Path, float] | None = None
     for theta in plane_angles(config):
         try:
             sl = rotated_plane_slice(world, s3, d3, theta)
@@ -407,7 +364,7 @@ def _best_plane(world: VoxelWorld, s3: Point3, d3: Point3,
         except (NoPathError, InvalidEndpointError):
             continue
         if best is None or path.length_m < best[0].length_m:
-            best = (path, theta, sl)
+            best = (path, theta)
         if len(path.waypoints) == 2:
             break
     if best is None:

@@ -7,8 +7,9 @@ recounts for the obstacle graph, a per-cell test of a segment against one
 open cell, all-pairs ground-truth visibility, branch-and-bound enumeration
 of simple paths, plain Dijkstra as the reference for the planner's search
 order, the per-cell plane slicer as the reference for the vectorised one,
-sampled points for the plane slicer, and the full plane fan for the fan
-that stops early.
+sampled points for the plane slicer, the full plane fan for the fan
+that stops early, and the per-character map and voxel file readers and
+writers for the shared row codec.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 import numpy as np
 
 from gridroute.errors import (DegenerateObstacleError, InvalidEndpointError,
-                              NoPathError, OutOfBoundsError)
-from gridroute.geometry import Segment, euclid_distance
-from gridroute.gridmap import OccupancyGrid, RealPoint
+                              MapParseError, NoPathError, OutOfBoundsError)
+from gridroute.geometry import Point, Segment, euclid_distance
+from gridroute.gridmap import OccupancyGrid, RealPoint, check_shape
 from gridroute.obstacle_graph import ObstacleEdge
 from gridroute.pathfind import Path, merge_collinear, waypoints_length
 from gridroute.planner import (PlanConfig, PlaneSlice, Point3, VoxelWorld,
@@ -428,3 +429,132 @@ def fan_reference(world: VoxelWorld, s3: Point3, d3: Point3,
         if best is None or path.length_m < best[0].length_m:
             best = (path, theta, sl)
     return best
+
+
+def parse_map_reference(text: str) -> tuple[OccupancyGrid, Point | None, Point | None]:
+    """Parse the text map format; returns (grid, source, dest).
+
+    Format, one item per line: a ``rows cols cell_size`` header, then
+    ``rows`` lines of ``#``/``.`` characters (first line is the top row,
+    y = rows - 1), then optional ``S x y`` and ``D x y`` lattice points.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise MapParseError("empty map", 1)
+    head = lines[0].split()
+    if len(head) != 3:
+        raise MapParseError("header must be '<rows> <cols> <cell_size_m>'", 1)
+    try:
+        rows, cols, cell = int(head[0]), int(head[1]), float(head[2])
+    except ValueError:
+        raise MapParseError("malformed header numbers", 1) from None
+    try:
+        check_shape((rows, cols), cell)
+    except ValueError as exc:
+        raise MapParseError(str(exc), 1) from None
+    # the grid is allocated once its rows are read, not from the header alone
+    if len(lines) < rows + 1:
+        raise MapParseError(f"expected {rows} row lines", len(lines) + 1)
+    cells: list[tuple[int, int]] = []
+    for line_no, row_text in enumerate(lines[1:rows + 1], start=2):
+        if len(row_text) != cols:
+            raise MapParseError(f"expected {cols} characters, got {len(row_text)}", line_no)
+        y = rows + 1 - line_no
+        for x, ch in enumerate(row_text):
+            if ch == "#":
+                cells.append((x, y))
+            elif ch != ".":
+                raise MapParseError(f"unknown character {ch!r}", line_no)
+    grid = OccupancyGrid(rows, cols, cell)
+    grid.mark_cells(cells)
+    source: Point | None = None
+    dest: Point | None = None
+    for j, extra in enumerate(lines[rows + 1:]):
+        line_no = rows + 2 + j
+        if not extra.strip():
+            raise MapParseError("unexpected blank line", line_no)
+        parts = extra.split()
+        if len(parts) != 3 or parts[0] not in ("S", "D"):
+            raise MapParseError("expected 'S x y' or 'D x y'", line_no)
+        try:
+            p = (int(parts[1]), int(parts[2]))
+        except ValueError:
+            raise MapParseError("endpoint coordinates must be integers", line_no) from None
+        if not grid.in_lattice(p):
+            raise MapParseError(f"{parts[0]} {p} outside lattice bounds", line_no)
+        if parts[0] == "S":
+            source = p
+        else:
+            dest = p
+    return grid, source, dest
+
+
+def serialize_map_reference(grid: OccupancyGrid, source: Point | None = None,
+                  dest: Point | None = None) -> str:
+    """Canonical text form of a grid; inverse of :func:`parse_map`."""
+    out = [f"{grid.rows} {grid.cols} {grid.cell_size_m!r}"]
+    for y in range(grid.rows - 1, -1, -1):
+        out.append("".join("#" if grid.occupied[y, x] else "." for x in range(grid.cols)))
+    if source is not None:
+        out.append(f"S {source[0]} {source[1]}")
+    if dest is not None:
+        out.append(f"D {dest[0]} {dest[1]}")
+    return "\n".join(out) + "\n"
+
+
+def parse_voxels_reference(text: str) -> VoxelWorld:
+    """Parse the voxel file format: an ``nx ny nz voxel_size`` header, then
+    nz blocks of ny rows of nx characters (z ascending, first row of each
+    block is y = ny - 1), blocks separated by one blank line and nothing
+    after the last one."""
+    lines = text.splitlines()
+    if not lines:
+        raise MapParseError("empty voxel file", 1)
+    head = lines[0].split()
+    if len(head) != 4:
+        raise MapParseError("header must be '<nx> <ny> <nz> <voxel_size_m>'", 1)
+    try:
+        nx, ny, nz, size = int(head[0]), int(head[1]), int(head[2]), float(head[3])
+    except ValueError:
+        raise MapParseError("malformed header numbers", 1) from None
+    try:
+        check_shape((nx, ny, nz), size)
+    except ValueError as exc:
+        raise MapParseError(str(exc), 1) from None
+    voxels: list[tuple[int, int, int]] = []
+    ln = 1
+    for z in range(nz):
+        if z > 0:
+            if ln >= len(lines) or lines[ln].strip():
+                raise MapParseError("expected blank line between blocks", ln + 1)
+            ln += 1
+        for y in range(ny - 1, -1, -1):
+            if ln >= len(lines):
+                raise MapParseError(f"expected {ny} rows in block {z}", ln + 1)
+            row = lines[ln]
+            if len(row) != nx:
+                raise MapParseError(f"expected {nx} characters, got {len(row)}", ln + 1)
+            for x, ch in enumerate(row):
+                if ch == "#":
+                    voxels.append((x, y, z))
+                elif ch != ".":
+                    raise MapParseError(f"unknown character {ch!r}", ln + 1)
+            ln += 1
+    if ln < len(lines):
+        raise MapParseError("unexpected line after the last block", ln + 1)
+    world = VoxelWorld(nx, ny, nz, size)
+    for v in voxels:
+        world.occupied[v] = True
+    return world
+
+
+def serialize_voxels_reference(world: VoxelWorld) -> str:
+    """Canonical text form of a voxel world; inverse of :func:`parse_voxels`."""
+    out = [f"{world.nx} {world.ny} {world.nz} {world.voxel_size_m!r}"]
+    for z in range(world.nz):
+        if z > 0:
+            out.append("")
+        for y in range(world.ny - 1, -1, -1):
+            out.append("".join("#" if world.occupied[x, y, z] else "."
+                               for x in range(world.nx)))
+    return "\n".join(out) + "\n"

@@ -106,6 +106,18 @@ def test_plan3d_wall_gap(tmp_path, capsys):
     assert out.strip().endswith("length_m 5.47")
 
 
+def test_plan3d_non_finite_endpoint_exits_one(tmp_path, capsys):
+    f = tmp_path / "world.txt"
+    f.write_text(serialize_voxels(VoxelWorld(5, 5, 5)))
+    for source, dest in (("inf,2.5,2.5", "5,2.5,2.5"), ("nan,2.5,2.5", "5,2.5,2.5"),
+                         ("0,2.5,2.5", "5,-inf,2.5")):
+        assert main(["plan3d", "--voxels", str(f), "--source", source,
+                     "--dest", dest]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bench_csv_written(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--scenario", "b", "--reps", "1",

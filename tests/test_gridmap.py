@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from gridroute.errors import (DegenerateObstacleError, MapParseError,
@@ -11,8 +13,11 @@ from gridroute.gridmap import (OccupancyGrid, convex_hull,
                                discretize_dimensions, parse_map,
                                rasterize_hull, serialize_map)
 from gridroute.mapgen import gen_random_map
+from gridroute.planner import VoxelWorld, parse_voxels, serialize_voxels
 
-from oracles import gift_wrap_hull, mc_rasterize, rasterize_reference
+from oracles import (gift_wrap_hull, mc_rasterize, parse_map_reference,
+                     parse_voxels_reference, rasterize_reference,
+                     serialize_map_reference, serialize_voxels_reference)
 
 
 def test_discretize_exact_meters():
@@ -28,7 +33,8 @@ def test_discretize_exact_division():
 
 
 def test_discretize_rejects_nonpositive():
-    for bad in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):
+    for bad in ((0, 1, 1), (1, -2, 1), (1, 1, 0), (math.inf, 1, 1),
+                (1, math.inf, 1), (1, 1, math.inf), (math.nan, 1, 1), (1, 1, math.nan)):
         with pytest.raises(ValueError):
             discretize_dimensions(*bad)
 
@@ -221,7 +227,7 @@ def test_parse_map_errors_name_lines():
     with pytest.raises(MapParseError) as err:
         parse_map("2 2 1.0\n..\n..\nS 9 0\n")
     assert err.value.line == 4
-    for header_only in ("0 5 1.0\n", "-3 -3 1.0\n", "2 2 -1.0\n"):
+    for header_only in ("0 5 1.0\n", "-3 -3 1.0\n", "2 2 -1.0\n", "2 2 inf\n"):
         with pytest.raises(MapParseError) as err:
             parse_map(header_only)
         assert err.value.line == 1
@@ -241,3 +247,110 @@ def test_map_roundtrip_seeded():
         parsed, s, d = parse_map(text)
         assert parsed == grid and s == (0, 0) and d == (cols, rows)
         assert serialize_map(parsed, s, d) == text
+
+
+def test_cell_size_must_be_finite():
+    for make in (lambda: OccupancyGrid(4, 4, math.inf),
+                 lambda: VoxelWorld(2, 2, 2, math.inf),
+                 lambda: gen_random_map(4, 4, 2, 0, cell_size_m=math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
+_JUNK = ("X", "\u00e9", "\t", "\udc80")
+_BAD_HEADERS = ("", "3", "3 3", "3 3 1.0 1.0 1.0", "a 3 1.0", "3 3 x", "2.0 3 1.0",
+                "0 3 1.0", "3 -1 1.0", "3 3 0", "3 3 -2.5", "3 3 nan", "1 1 1 1 1")
+
+
+def _mutate(rng, lines):
+    """One random edit of a file's lines."""
+    if not lines:
+        return [rng.choice(("", "..", "1 1 1.0", "1 1 1 1.0"))]
+    lines = list(lines)
+    j = rng.randrange(len(lines))
+    kind = rng.randrange(10)
+    if kind == 0:
+        del lines[j]
+    elif kind == 1:
+        lines.insert(j, lines[j])
+    elif kind == 2:
+        lines = lines[:j]
+    elif kind == 3:
+        lines[j] += rng.choice("#.")
+    elif kind == 4:
+        lines[j] = lines[j][:-1]
+    elif kind == 5:
+        k = rng.randrange(len(lines[j]) + 1)
+        lines[j] = lines[j][:k] + rng.choice(_JUNK) + lines[j][k + 1:]
+    elif kind == 6:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", " ")))
+    elif kind == 7:
+        lines.append(rng.choice(("", "..", "#", "S 0 0", "D 1 1", "S 9 9", "X")))
+    elif kind == 8:
+        lines[0] = rng.choice(_BAD_HEADERS)
+    else:
+        # a well-formed header one off in one dimension
+        head = lines[0].split()
+        if len(head) > 1:
+            i = rng.randrange(len(head) - 1)
+            head[i] = str(int(head[i]) + rng.choice((-1, 1))) if head[i].isdigit() else "2"
+        lines[0] = " ".join(head)
+    return lines
+
+
+def _codec_corpus(rng, count):
+    """``count`` files, alternately maps and voxel worlds: written by the
+    reference writer, checked against the new writer, then edited 0-2 times.
+    Yields (kind, new parser, reference parser, text)."""
+    for k in range(count):
+        if k % 2 == 0:
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            grid = OccupancyGrid(rows, cols, rng.choice((0.5, 1.0, 2.5)),
+                                 np.array([[rng.random() < 0.4 for _ in range(cols)]
+                                           for _ in range(rows)]))
+            ends = [(rng.randint(0, cols), rng.randint(0, rows)) if rng.random() < 0.6
+                    else None for _ in range(2)]
+            text = serialize_map_reference(grid, *ends)
+            assert serialize_map(grid, *ends) == text
+            kind, parse, ref = "map", parse_map, parse_map_reference
+        else:
+            dims = [rng.randint(1, 3) for _ in range(3)]
+            world = VoxelWorld(*dims, rng.choice((0.5, 1.0)),
+                               np.array([rng.random() < 0.4
+                                         for _ in range(dims[0] * dims[1] * dims[2])]
+                                        ).reshape(dims))
+            text = serialize_voxels_reference(world)
+            assert serialize_voxels(world) == text
+            kind, parse, ref = "voxel", parse_voxels, parse_voxels_reference
+        lines = text.splitlines()
+        for _ in range(rng.choice((0, 1, 1, 2, 2))):
+            lines = _mutate(rng, lines)
+        yield kind, parse, ref, "\n".join(lines) + rng.choice(("\n", ""))
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except Exception as exc:
+        return ("error", type(exc), getattr(exc, "line", None), str(exc))
+
+
+def test_codec_matches_reference():
+    # The readers check a block's row count before its rows; the per-character
+    # reference read a voxel block's rows before noticing that it ends early.
+    # That order is the only difference allowed.
+    differ, seen = 0, {"ok": 0, "error": 0}
+    for kind, parse, ref, text in _codec_corpus(random.Random(12), 4000):
+        got, want = _outcome(parse, text), _outcome(ref, text)
+        seen[want[0]] += 1
+        if got == want:
+            continue
+        differ += 1
+        missing = got[0] == want[0] == "error" and re.fullmatch(
+            r"line (\d+): expected (\d+) rows in block (\d+)", got[3])
+        assert kind == "voxel" and got[1] is MapParseError and missing, (text, got, want)
+        ny, z = int(missing[2]), int(missing[3])
+        assert want[1] is MapParseError and re.search("characters, got|unknown char", want[3])
+        assert 2 + z * (ny + 1) <= want[2] < got[2], (text, got, want)
+    assert seen["ok"] > 800 and seen["error"] > 2000
+    assert differ < 40

@@ -122,6 +122,20 @@ def test_plan_with_stops_reperceives_each_leg():
     assert path.length_m > math.sqrt(72) - 1e-9
 
 
+def test_plan_rejects_non_integer_endpoints():
+    # off the corner lattice whatever the value, 2.0 included; numpy ints pass
+    grid = OccupancyGrid(4, 4)
+    for bad in ((0.5, 0), (0, 2.0), (np.float64(1), 1), (1, math.nan)):
+        for plan in (plan2d, planner.plan2d_reference):
+            with pytest.raises(InvalidEndpointError):
+                plan(grid, bad, (4, 4))
+            with pytest.raises(InvalidEndpointError):
+                plan(grid, (0, 0), bad)
+        with pytest.raises(InvalidEndpointError):
+            plan_with_stops(StaticMapProvider(grid), (0, 0), (4, 4), [bad])
+    assert plan2d(grid, (np.int64(0), np.int64(1)), (4, 4)) == plan2d(grid, (0, 1), (4, 4))
+
+
 def test_plan_with_stops_rejects_endpoint_stop():
     grid = OccupancyGrid(4, 4)
     with pytest.raises(ValueError):
@@ -163,6 +177,9 @@ def test_voxel_parse_errors():
     with pytest.raises(MapParseError) as err:
         parse_voxels("1000000 1000000 1000000 1.0\n")  # too large to allocate
     assert err.value.line == 2
+    with pytest.raises(MapParseError) as err:
+        parse_voxels("1 1 1 inf\n.\n")                # infinite voxel size
+    assert err.value.line == 1
 
 
 def test_empty_world_straight_line_every_angle():
