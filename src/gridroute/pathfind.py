@@ -70,7 +70,8 @@ _H_SCALE = 1.0 - 1e-9
 
 
 def dijkstra_shortest_path(gv: VisibilityGraph | LazyVisibilityGraph,
-                           source: Point, dest: Point) -> Path:
+                           source: Point, dest: Point, *,
+                           _within_m: float = math.inf) -> Path:
     """Minimum-length path from source to destination in the visibility graph.
 
     Runs A* with heap entries ``(g + h, g, hops, waypoints)``, where ``h`` is
@@ -80,6 +81,12 @@ def dijkstra_shortest_path(gv: VisibilityGraph | LazyVisibilityGraph,
     would settle it with and the documented tie order is kept. Raises
     :class:`NoPathError` when the destination is unreachable. A query with
     source equal to destination returns a zero-length single-waypoint path.
+
+    ``_within_m`` is a length bound in metres: the search stops and raises
+    :class:`NoPathError` as soon as it pops an entry whose ``g + h`` exceeds
+    it. Entries pop in ascending ``g + h`` and ``h`` never overestimates, so
+    the search is cut only when every completion is longer than the bound,
+    and otherwise returns the path it returns without one.
     """
     if source not in gv.vertex_set:
         raise ValueError(f"source {source} is not a graph vertex")
@@ -91,7 +98,9 @@ def dijkstra_shortest_path(gv: VisibilityGraph | LazyVisibilityGraph,
     heap: list[tuple[float, float, int, tuple[Point, ...]]] = [(h0, 0.0, 1, (source,))]
     finalized: set[Point] = set()
     while heap:
-        _, dist, hops, wp = heappop(heap)
+        f, dist, hops, wp = heappop(heap)
+        if f > _within_m:
+            raise NoPathError(f"no route from {source} to {dest} within {_within_m} m")
         v = wp[-1]
         if v in finalized:
             continue

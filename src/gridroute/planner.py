@@ -13,7 +13,10 @@ the layer with the fewest obstacle cells. True 3D shortest paths are out of
 scope; instead ``plan_rotated_planes`` slices the voxel world with a fan of
 planes through the source-destination line, plans within each slice and
 keeps the shortest, stopping early once a plane admits the straight
-segment.
+segment. Once the fan holds a best plane, each later plane's search is
+bounded by that plane's length (plus a relative ``1e-9`` margin for float
+rounding) and gives up as soon as it cannot beat it. ``PlanConfig`` rejects
+a fan wider than +/-90 degrees when it is built.
 """
 
 from __future__ import annotations
@@ -47,26 +50,34 @@ class PlanConfig:
             raise ValueError("plane count must be at least 1")
         if not (self.plane_angle_step_deg > 0):
             raise ValueError("plane angle step must be positive")
+        # the widest angle plane_angles builds, with its own arithmetic
+        if (self.plane_count // 2) * self.plane_angle_step_deg > 90.0 + 1e-9:
+            raise ValueError("plane fan must stay within +/-90 degrees")
 
 
-def _plan(grid: OccupancyGrid, source: Point, dest: Point, make_graph) -> Path:
+def _plan(grid: OccupancyGrid, source: Point, dest: Point, make_graph,
+          within_m: float = math.inf) -> Path:
     gobs = build_obstacle_graph(grid)
     if source == dest:
         check_endpoints(gobs, source, dest)
         return Path((source,), 0.0)
     gv = make_graph(gobs, source, dest)
-    return dijkstra_shortest_path(gv, source, dest)
+    return dijkstra_shortest_path(gv, source, dest, _within_m=within_m)
 
 
-def plan2d(grid: OccupancyGrid, source: Point, dest: Point) -> Path:
+def plan2d(grid: OccupancyGrid, source: Point, dest: Point, *,
+           _within_m: float = math.inf) -> Path:
     """Shortest obstacle-free route on one grid.
 
     Pipeline: obstacle graph, then A* over a lazily decided visibility graph.
     Equal to :func:`plan2d_reference` on every input. Deterministic for
     equal inputs. Source equal to destination, at a point outside every
     obstacle's interior, yields a zero-length single-waypoint path.
+    ``_within_m`` is the search's length bound in metres (see
+    :func:`~gridroute.pathfind.dijkstra_shortest_path`): a route longer than
+    it raises :class:`NoPathError`.
     """
-    return _plan(grid, source, dest, LazyVisibilityGraph)
+    return _plan(grid, source, dest, LazyVisibilityGraph, _within_m)
 
 
 def plan2d_reference(grid: OccupancyGrid, source: Point, dest: Point) -> Path:
@@ -203,6 +214,14 @@ class PlaneSlice:
                      for i in range(3))
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, with its products and subtractions, so
+    bit-identical to it, without its per-call broadcasting set-up."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
                         theta_deg: float) -> PlaneSlice:
     """Rasterize one plane containing the source-destination line.
@@ -239,7 +258,7 @@ def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
         w0 = xref - np.dot(xref, u) * u
     w0 /= np.linalg.norm(w0)
     th = math.radians(theta_deg)
-    w = w0 * math.cos(th) + np.cross(u, w0) * math.sin(th)
+    w = w0 * math.cos(th) + _cross(u, w0) * math.sin(th)
 
     cols_line = max(1, math.ceil(length - 1e-9))
     h = length / cols_line  # in-plane cell edge, in voxel units
@@ -257,21 +276,21 @@ def rotated_plane_slice(world: VoxelWorld, s3: Point3, d3: Point3,
     dest2: Point = (-ix0 + cols_line, -iy0)
 
     # voxels close enough to the plane to possibly touch a cell
+    normal = _cross(u, w)
     occ_idx = np.argwhere(world.occupied)
     if occ_idx.size:
         centers = occ_idx + 0.5
-        normal = np.cross(u, w)
         dist = np.abs((centers - s) @ normal)
         near = occ_idx[dist < math.sqrt(3.0) / 2.0 + 1e-9]
     else:
         near = occ_idx
 
     axes = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-            np.array([0.0, 0.0, 1.0]), np.cross(u, w)]
+            np.array([0.0, 0.0, 1.0]), normal]
     for e in (u, w):
         for b in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                   np.array([0.0, 0.0, 1.0])):
-            a = np.cross(e, b)
+            a = _cross(e, b)
             if np.linalg.norm(a) > 1e-12:
                 axes.append(a)
 
@@ -335,9 +354,13 @@ def plane_angles(config: PlanConfig) -> list[float]:
         if len(angles) < config.plane_count:
             angles.append(-i * config.plane_angle_step_deg)
         i += 1
-    if max(abs(a) for a in angles) > 90.0 + 1e-9:
-        raise ValueError("plane fan must stay within +/-90 degrees")
     return angles
+
+
+# Relative slack on the fan's search bound (see plan_rotated_planes). A plane
+# whose route falls inside it is searched to the end and loses the strict
+# comparison, as without the bound.
+_LENGTH_MARGIN = 1e-9
 
 
 def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
@@ -352,15 +375,25 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
     The fan stops at the first plane whose route is the direct segment (two
     waypoints): every plane gives that segment the same length, and ties
     keep the earlier plane, so no later plane can win.
+
+    Once the fan holds a best plane, each later plane's A* is bounded by
+    ``best.length_m * (1 + 1e-9)`` and raises :class:`NoPathError` as soon
+    as it pops an entry above that bound. Entries pop in ascending
+    ``g + h``, and the destination's entry is its own summed length ``g``,
+    so a plane is cut only when its route is longer than the best: it could
+    not have won, and the fan returns what it returns without the bound.
+    The relative ``1e-9`` covers the rounding between A*'s summed ``g`` and
+    ``waypoints_length`` of the merged waypoints, which is a plane's length.
     """
     config = config or PlanConfig()
     if tuple(s3) == tuple(d3):
         raise ValueError("source and destination coincide")
     best: tuple[Path, float] | None = None
     for theta in plane_angles(config):
+        within_m = math.inf if best is None else best[0].length_m * (1 + _LENGTH_MARGIN)
         try:
             sl = rotated_plane_slice(world, s3, d3, theta)
-            path = plan2d(sl.grid, sl.source, sl.dest)
+            path = plan2d(sl.grid, sl.source, sl.dest, _within_m=within_m)
         except (NoPathError, InvalidEndpointError):
             continue
         if best is None or path.length_m < best[0].length_m:

@@ -275,9 +275,6 @@ class VisibilityGraph:
     def neighbors(self, p: Point) -> list[tuple[Point, float]]:
         return self.adjacency[p]
 
-    def has_edge(self, u: Point, v: Point) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
     def edge_set(self) -> set[tuple[Point, Point]]:
         return set(self.edges)
 

@@ -146,7 +146,7 @@ def test_criterion_invariant_suites():
         gv = build_visibility_graph(gobs, s, d)
         for u in gv.vertices:
             for v, _ in gv.neighbors(u):
-                assert gv.has_edge(v, u)
+                assert (min(u, v), max(u, v)) in gv.edges
         try:
             path = dijkstra_shortest_path(gv, s, d)
         except NoPathError:

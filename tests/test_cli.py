@@ -118,6 +118,17 @@ def test_plan3d_non_finite_endpoint_exits_one(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_plan3d_huge_plane_count_exits_one(tmp_path, capsys):
+    # rejected by PlanConfig before any angle list is built
+    f = tmp_path / "world.txt"
+    f.write_text(serialize_voxels(VoxelWorld(5, 5, 5)))
+    assert main(["plan3d", "--voxels", str(f), "--source", "0,2.5,2.5",
+                 "--dest", "5,2.5,2.5", "--planes", "1000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bench_csv_written(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--scenario", "b", "--reps", "1",

@@ -114,6 +114,30 @@ def test_dijkstra_optimal_on_seeded_grids():
         assert path.length_m == pytest.approx(best, rel=1e-9)
 
 
+def test_length_bound_cuts_only_longer_routes():
+    routed = 0
+    for seed in range(24):
+        grid = gen_random_map(7, 7, 6 + seed, 300 + seed)
+        gobs = build_obstacle_graph(grid)
+        s, d = (0, 0), (7, 7)
+
+        def search(**kw):
+            return dijkstra_shortest_path(LazyVisibilityGraph(gobs, s, d), s, d, **kw)
+
+        try:
+            path = search()
+        except NoPathError:
+            with pytest.raises(NoPathError):
+                search(_within_m=1e9)
+            continue
+        routed += 1
+        assert path == dijkstra_shortest_path(build_visibility_graph(gobs, s, d), s, d)
+        assert search(_within_m=path.length_m * (1 + 1e-9)) == path
+        with pytest.raises(NoPathError):
+            search(_within_m=path.length_m * (1 - 1e-6))
+    assert routed >= 12
+
+
 def test_paths_respect_lower_bound_and_safety():
     for seed in range(10):
         grid = gen_random_map(8, 8, 15 + seed, 100 + seed)

@@ -17,7 +17,7 @@ from gridroute.planner import (PlanConfig, StaticMapProvider, VoxelWorld,
                                plan_rotated_planes, plan_with_stops,
                                plane_angles, rotated_plane_slice,
                                serialize_voxels)
-from gridroute.visibility import build_visibility_graph
+from gridroute.visibility import LazyVisibilityGraph, build_visibility_graph
 
 from oracles import fan_reference, min_simple_path_length, oracle_visibility_graph
 
@@ -268,6 +268,13 @@ def test_plane_fan_rejects_wide_angles():
     with pytest.raises(ValueError):
         plan_rotated_planes(world, (0, 1.5, 1.5), (3, 1.5, 1.5),
                             PlanConfig(plane_count=7, plane_angle_step_deg=40.0))
+    # rejected when the config is built, before any angle list exists
+    for count, step in ((10**9, 15.0), (14, 15.0), (3, 90.5), (2_000_000, 1e-3)):
+        with pytest.raises(ValueError, match="90 degrees"):
+            PlanConfig(plane_count=count, plane_angle_step_deg=step)
+    for count, step in ((13, 15.0), (2, 90.0), (1, 500.0)):
+        angles = plane_angles(PlanConfig(plane_count=count, plane_angle_step_deg=step))
+        assert len(angles) == count and max(map(abs, angles)) <= 90.0
 
 
 def _fan_worlds():
@@ -293,9 +300,9 @@ def test_fan_stops_at_the_first_direct_plane(monkeypatch):
     real = planner.plan2d
     calls = []
 
-    def counting(grid, source, dest):
+    def counting(grid, source, dest, **kw):
         calls.append(source)
-        return real(grid, source, dest)
+        return real(grid, source, dest, **kw)
 
     monkeypatch.setattr(planner, "plan2d", counting)
     angles = plane_angles(PlanConfig())
@@ -323,6 +330,72 @@ def test_fan_stops_at_the_first_direct_plane(monkeypatch):
                                       (5.0, 2.5, 2.5))
     assert len(calls) == 1 and theta == 0.0 and len(path.waypoints) == 2
     assert stopped_early >= 4
+
+
+def _mirror_worlds():
+    """(world, source, destination) mirror-symmetric about the fan's
+    reference plane y = 4.5, so each +theta plane has a -theta twin: a wall
+    across x with two mirrored holes on the +/-45 degree planes, plus
+    mirrored 8% noise and free end slabs."""
+    rng = np.random.default_rng(5)
+    n = 9
+    for _ in range(8):
+        occ = rng.random((n, n, n)) < 0.08
+        occ |= occ[:, ::-1, :]
+        x, dz = int(rng.integers(3, 6)), int(rng.choice((-1, 1)))
+        occ[x] = True
+        occ[x, 3, 4 + dz] = occ[x, 5, 4 + dz] = False
+        occ[:2] = False
+        occ[-2:] = False
+        yield VoxelWorld(n, n, n, 1.0, occ), (0.0, 4.5, 4.5), (float(n), 4.5, 4.5)
+
+
+def test_fan_keeps_the_full_fan_and_its_tie_order_on_mirrored_worlds():
+    ties = 0
+    for world, s3, d3 in _mirror_worlds():
+        ref = fan_reference(world, s3, d3)
+        if ref is None:
+            with pytest.raises(NoPathError):
+                plan_rotated_planes(world, s3, d3)
+            continue
+        path, theta, _ = ref
+        assert plan_rotated_planes(world, s3, d3) == (path, theta)
+        if theta == 0.0:
+            continue
+        twin = rotated_plane_slice(world, s3, d3, -theta)
+        if plan2d(twin.grid, twin.source, twin.dest).length_m == path.length_m:
+            assert theta > 0  # the +theta plane comes first and keeps the tie
+            ties += 1
+    assert ties >= 3
+
+
+def test_fan_bound_expands_fewer_vertices(monkeypatch):
+    real_neighbors = LazyVisibilityGraph.neighbors
+    real_plan2d = planner.plan2d
+    expanded = 0
+
+    def counting(self, v):
+        nonlocal expanded
+        expanded += 1
+        return real_neighbors(self, v)
+
+    def fans():
+        nonlocal expanded
+        expanded, out = 0, []
+        for world, s3, d3 in _fan_worlds():
+            try:
+                out.append(plan_rotated_planes(world, s3, d3))
+            except NoPathError:
+                out.append(None)
+        return expanded, out
+
+    monkeypatch.setattr(LazyVisibilityGraph, "neighbors", counting)
+    bounded, routes = fans()
+    monkeypatch.setattr(planner, "plan2d",
+                        lambda grid, source, dest, **kw: real_plan2d(grid, source, dest))
+    unbounded, unbounded_routes = fans()
+    assert routes == unbounded_routes
+    assert bounded < unbounded
 
 
 def test_fan_equals_full_fan_reference(tmp_path, capsys):
