@@ -19,19 +19,27 @@ visible iff it crosses no occupied cell's open interior and shares no
 positive-length overlap with a blocking edge. The sweep is validated against
 it pair by pair in the test suite.
 
-Both graphs sort a pivot's targets through one dispatch. Same-column,
-same-row and exact-diagonal targets take one query of the obstacle graph's
-blocker index (:meth:`ObstacleGraph.clear`), two binary searches per
-target; only the generic targets fork, between a runtime path and a
-reference path. :class:`LazyVisibilityGraph`, which planning uses, decides
-a vertex's whole neighbour list, on both sides of it, when a search first
-asks for it, and its generic targets by interval stabbing, which tests each
-line of sight against exactly the edges the sweep would probe. The left
-half-plane needs no second pass: its point reflection about the pivot is
-the right half-plane, and it keeps every slope and every side test.
-:func:`build_visibility_graph` decides every pair up front and its generic
-targets with the paper's per-pivot sweep over the right half-plane; it is
-the reference the tests compare against and what ``gridroute bench`` times.
+Both graphs sort a pivot's targets through one dispatch
+(:func:`_straight_visible`). Same-column, same-row and exact-diagonal
+targets take one query of the obstacle graph's blocker index
+(:meth:`ObstacleGraph.clear`), two binary searches per target; only the
+generic targets fork, between a runtime path and a reference path.
+:class:`LazyVisibilityGraph`, which planning uses, decides a vertex's whole
+neighbour list, on both sides of it, when a search first asks for it. It
+first drops the generic targets that no shortest route can use: a shortest
+route bends only around obstacle corners, so each of its segments is
+tangent to the obstacles at its inner ends, and its line, extended past an
+inner end, enters no occupied cell at that corner. That is a test of one
+cell at each end, made before any line of sight is checked; the class
+docstring states the rule and why it keeps every shortest route. The kept
+generic targets are decided by interval stabbing, which tests each line of
+sight against exactly the edges the sweep would probe. The left half-plane
+needs no second pass: its point reflection about the pivot is the right
+half-plane, and it keeps every slope and every side test.
+:func:`build_visibility_graph` decides every pair up front, unfiltered, and
+its generic targets with the paper's per-pivot sweep over the right
+half-plane; it is the reference the tests compare against and what
+``gridroute bench`` times.
 
 Endpoint grazing never blocks: drones are small relative to obstacles and
 may pass through corner contacts between separate obstacles.
@@ -316,15 +324,16 @@ def _candidates(graph: ObstacleGraph, source: Point,
     return cand, cx, cy
 
 
-def _visible(graph: ObstacleGraph, pivot: Point, tx: np.ndarray, ty: np.ndarray,
-             generic) -> np.ndarray:
-    """Which of the targets at ``tx``/``ty`` the pivot sees, as a bool mask.
+def _straight_visible(graph: ObstacleGraph, pivot: Point, tx: np.ndarray,
+                      ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the targets at ``tx``/``ty`` the pivot sees, as a bool mask
+    with only the straight targets decided, and the indices of the generic
+    targets, which the caller decides and writes into the mask.
 
     Same-column, same-row and exact-diagonal targets take one
     :meth:`ObstacleGraph.clear` query, and the pivot itself is never
-    visible. The generic targets go to ``generic(graph, pivot, tx, ty)``,
-    which returns their mask: the sweep for the reference graph, the
-    stabbing kernel for the lazy one.
+    visible. The reference graph decides the generic targets by the sweep,
+    the lazy one by the tangency filter and the stabbing kernel.
     """
     px, py = pivot
     dx, dy = tx - px, ty - py
@@ -333,10 +342,7 @@ def _visible(graph: ObstacleGraph, pivot: Point, tx: np.ndarray, ty: np.ndarray,
     vis = np.zeros(len(tx), dtype=bool)
     vis[straight] = graph.clear(px, py, tx[straight], ty[straight])
     vis[column & row] = False
-    j = np.nonzero(~straight)[0]
-    if j.size:
-        vis[j] = generic(graph, pivot, tx[j], ty[j])
-    return vis
+    return vis, np.nonzero(~straight)[0]
 
 
 def build_visibility_graph(graph: ObstacleGraph, source: Point,
@@ -349,16 +355,19 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point,
     half-plane (points straight above count as vertical pairs). Pairs split
     into the four cases; generic targets go through one rotational sweep per
     pivot. Planning uses :class:`LazyVisibilityGraph`, which answers the
-    same adjacency on demand; this builder is its reference and what
-    ``gridroute bench`` times.
+    same adjacency on demand, less the generic edges no shortest route
+    uses; this builder is its reference and what ``gridroute bench`` times.
     """
     cand, cx, cy = _candidates(graph, source, dest)
     p = graph.grid.cell_size_m
     edges = {}
     for i, pivot in enumerate(cand):
-        vis = _visible(graph, pivot, cx[i + 1:], cy[i + 1:], _sweep_flags)
-        for j in np.nonzero(vis)[0].tolist():
-            t = cand[i + 1 + j]
+        tx, ty = cx[i + 1:], cy[i + 1:]
+        vis, j = _straight_visible(graph, pivot, tx, ty)
+        if j.size:
+            vis[j] = _sweep_flags(graph, pivot, tx[j], ty[j])
+        for k in np.nonzero(vis)[0].tolist():
+            t = cand[i + 1 + k]
             edges[(pivot, t)] = euclid_distance(pivot, t) * p
     return VisibilityGraph(cand, edges, p)
 
@@ -424,36 +433,106 @@ def _generic_visible(graph: ObstacleGraph, pivot: Point,
 
 
 class LazyVisibilityGraph:
-    """The graph :func:`build_visibility_graph` builds, with each vertex's
-    neighbour list computed the first time it is asked for.
+    """The graph :func:`build_visibility_graph` builds, less the generic
+    edges that no shortest route uses, with each vertex's neighbour list
+    computed the first time it is asked for.
 
-    Same vertices, weights and sorted adjacency as the eager graph, so a
-    search that expands few vertices decides few neighbour lists. Each list
-    comes from one array kernel over all candidates (:func:`_visible`):
+    Same vertices as the eager graph, and each list is a sublist of the
+    eager one with the same weights and order, so a search that expands few
+    vertices decides few lists. Each list comes from one array kernel over
+    all candidates:
 
     * same-column, same-row and exact-diagonal targets: one call to
-      :meth:`ObstacleGraph.clear`, which searches the obstacle graph's
-      sorted index of blocking edges and penetrated corners;
-    * generic targets on both sides: one interval-stabbing pass
-      (:func:`_generic_visible`), which decides the left half-plane through
-      its point reflection about the vertex; exact because the result
+      :meth:`ObstacleGraph.clear` (:func:`_straight_visible`), every
+      visible one kept;
+    * generic targets (``dx != 0``, ``dy != 0``, ``|dx| != |dy|``) on both
+      sides: the tangency filter below, then one interval-stabbing pass
+      over the kept targets only (:func:`_generic_visible`), which decides
+      the left half-plane through its point reflection about the vertex and
       equals :func:`brute_force_visible`, a symmetric predicate.
+
+    *Tangency filter.* Write ``Q(p, s)`` for the cell with corner ``p`` in
+    the open quadrant of direction ``s``: column ``x`` if ``s_x > 0`` else
+    ``x - 1``, row ``y`` if ``s_y > 0`` else ``y - 1``; a cell outside the
+    grid counts as free. A generic pair ``v``, ``t`` with ``d = t - v`` is
+    kept iff ``v`` is an endpoint or ``Q(v, -d)`` is free, and ``t`` is an
+    endpoint or ``Q(t, d)`` is free: the segment's line, extended past
+    each inner end, enters no occupied cell there. Swapping ``v`` and ``t``
+    negates ``d`` and swaps the two tests, so ``u`` lists ``v`` exactly when
+    ``v`` lists ``u``. Each candidate's four quadrant flags are built once
+    per graph, in numpy; the endpoints' flags are all free.
+
+    *Why the filter is exact.* A segment is visible iff it lies in the
+    closed free space ``F``, the plane less the interior of the union of
+    occupied cells, and the full graph's shortest routes are shortest
+    routes in ``F`` (Lozano-Perez and Wesley 1979; the filter is a local form
+    of the tangent graph of Liu and Arimoto 1992). Take an inner vertex
+    ``v`` of such a route, entered from ``u`` and left towards ``w`` along
+    a generic ``d = w - v``, and suppose ``Q(v, -d)`` is occupied. Near
+    ``v`` only the four cells at ``v`` and the four axis rays between them
+    matter. The ray to ``w`` runs inside ``Q(v, d)``, which is therefore
+    free. The ray to ``u`` enters no occupied open cell and runs along no
+    axis ray between two occupied cells, a blocking edge.
+
+    * A bend: the open angle between the two rays, less than a half-turn,
+      must meet an occupied cell near ``v``, or a short chord across it
+      would stay in ``F`` and shorten the route. It cannot meet
+      ``Q(v, -d)``, which lies about ``-d``, outside that angle, unless the
+      ray to ``u`` enters it. So it meets an occupied cell beside
+      ``Q(v, -d)``, and the ray to ``u``, entering neither, lies exactly on
+      the axis ray between the two: a blocking edge. This holds whether
+      the incoming segment is generic, along a diagonal (its ray is inside
+      an open cell) or along an axis (on a ray between two cells). At a
+      pinch, where two diagonally opposite cells are occupied, ``d`` leaves
+      through a free cell, so ``Q(v, -d)`` is the other free one and the
+      test passes.
+    * A straight pass, ``u``, ``v``, ``w`` collinear: ``Q(v, -d)`` is the
+      cell the visible segment to ``u`` leaves ``v`` through, so it is free.
+
+    Reversing the route gives the same for the target end, and the source
+    and the destination are never inner vertices. So every segment of every
+    exact-shortest route passes the filter, and straight segments are never
+    filtered. The pruned graph is a subgraph of the full one that keeps all
+    those routes, and A* orders routes by length, then hops, then
+    waypoints, so it returns the same ``Path``. The one assumption: float
+    sums of routes with different exact lengths do not invert.
     """
 
     def __init__(self, graph: ObstacleGraph, source: Point, dest: Point):
-        cand, self._cx, self._cy = _candidates(graph, source, dest)
+        cand, cx, cy = _candidates(graph, source, dest)
         self.vertices: tuple[Point, ...] = tuple(cand)
         self.vertex_set = frozenset(cand)
         self.cell_size_m = graph.grid.cell_size_m
         self._graph = graph
+        self._cx, self._cy = cx, cy
+        # _free[q, i]: the cell at candidate i in quadrant q is free, where
+        # q = 2 * (s_x > 0) + (s_y > 0), so the opposite quadrant is 3 - q
+        occ = graph.grid.occupied
+        rows, cols = occ.shape
+        free = np.empty((4, len(cand)), dtype=bool)
+        for q in range(4):
+            col, row = (cx if q & 2 else cx - 1), (cy if q & 1 else cy - 1)
+            inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+            free[q] = ~(inside & occ[np.clip(row, 0, rows - 1), np.clip(col, 0, cols - 1)])
+        for p in (source, dest):
+            free[:, bisect_left(cand, p)] = True
+        self._free = free
         self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
 
     def neighbors(self, v: Point) -> list[tuple[Point, float]]:
         adj = self._adjacency.get(v)
         if adj is None:
-            vis = _visible(self._graph, v, self._cx, self._cy, _generic_visible)
-            p = self.cell_size_m
             cand = self.vertices
-            adj = self._adjacency[v] = [(cand[i], euclid_distance(v, cand[i]) * p)
-                                        for i in np.nonzero(vis)[0].tolist()]
+            i = bisect_left(cand, v)
+            if i == len(cand) or cand[i] != v:
+                raise KeyError(v)
+            cx, cy = self._cx, self._cy
+            vis, j = _straight_visible(self._graph, v, cx, cy)
+            q = 2 * (cx[j] > v[0]) + (cy[j] > v[1])
+            j = j[self._free[q, j] & self._free[3 - q, i]]
+            if j.size:
+                vis[j] = _generic_visible(self._graph, v, cx[j], cy[j])
+            p = self.cell_size_m
+            adj = self._adjacency[v] = [(cand[k], euclid_distance(v, cand[k]) * p)
+                                        for k in np.nonzero(vis)[0].tolist()]
         return adj

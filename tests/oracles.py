@@ -8,8 +8,9 @@ open cell, all-pairs ground-truth visibility, branch-and-bound enumeration
 of simple paths, plain Dijkstra as the reference for the planner's search
 order, the per-cell plane slicer as the reference for the vectorised one,
 sampled points for the plane slicer, the full plane fan for the fan
-that stops early, and the per-character map and voxel file readers and
-writers for the shared row codec.
+that stops early, the per-character map and voxel file readers and
+writers for the shared row codec, and a per-pair step along the line of
+sight for the lazy graph's tangency filter.
 """
 
 from __future__ import annotations
@@ -232,6 +233,30 @@ def oracle_visibility_graph(grid: OccupancyGrid, vertices) -> VisibilityGraph:
     edges = {pair: euclid_distance(*pair) * grid.cell_size_m
              for pair in oracle_visibility_edges(grid, vertices)}
     return VisibilityGraph(sorted(vertices), edges, grid.cell_size_m)
+
+
+def tangent_reference(grid: OccupancyGrid, v: Point, t: Point, endpoints) -> bool:
+    """Whether the lazy graph keeps the pair ``v``, ``t`` when ``t`` is
+    visible from ``v``: always for a same-row, same-column or 45-degree
+    pair; for any other pair iff the line through ``v`` and ``t``, stepped
+    on past each end that is not in ``endpoints``, lands in a free cell or
+    off the grid. The step is ``d / (2 m)`` with ``m = max(|dx|, |dy|)``,
+    half a cell along the longer axis, so it stops strictly inside the open
+    cell at that corner; the cell is the step's end floored, in integers
+    scaled by ``2 m``."""
+    (vx, vy), (tx, ty) = v, t
+    dx, dy = tx - vx, ty - vy
+    if dx == 0 or dy == 0 or abs(dx) == abs(dy):
+        return True
+    scale = 2 * max(abs(dx), abs(dy))
+    for (px, py), sign in ((v, -1), (t, 1)):
+        if (px, py) in endpoints:
+            continue
+        col = (scale * px + sign * dx) // scale
+        row = (scale * py + sign * dy) // scale
+        if 0 <= col < grid.cols and 0 <= row < grid.rows and grid.occupied[row, col]:
+            return False
+    return True
 
 
 def min_simple_path_length(gv: VisibilityGraph, source, dest) -> float | None:

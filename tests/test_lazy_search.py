@@ -5,8 +5,11 @@ mirror-image routes tie on length), checkerboards of diagonal pinches with
 random flips, and adversarial layouts beyond 20x20: combs, spirals, solid
 rock cut by one long one-cell corridor, a sparse grid whose columns
 reach the float slope-key limit, and grids up to 12x12 drawn by
-``hypothesis``. Every comparison is exact equality:
-adjacency lists, ``Path`` objects and raised error types.
+``hypothesis``. Every comparison is exact equality: adjacency lists,
+``Path`` objects and raised error types. The lazy graph drops the generic
+edges that no shortest route uses, so its lists are compared with the
+eager graph's or the ground truth's lists cut down by the independent
+``oracles.tangent_reference``, and its routes with the eager pipeline's.
 """
 
 import math
@@ -25,7 +28,7 @@ from gridroute.planner import plan2d, plan2d_reference
 from gridroute.visibility import (_COORD_LIMIT, LazyVisibilityGraph, _PivotPrep,
                                   brute_force_visible, build_visibility_graph)
 
-from oracles import dijkstra_reference
+from oracles import dijkstra_reference, tangent_reference
 
 CELL_SIZES = (1.0, 0.5, 3.7)
 
@@ -144,28 +147,33 @@ def test_lazy_neighbors_equal_eager_adjacency():
         assert (_outcome(dijkstra_shortest_path, fresh, s, d)
                 == _outcome(dijkstra_shortest_path, eager, s, d)), k
         for v in eager.vertices:
-            assert lazy.neighbors(v) == eager.neighbors(v), (k, v)
+            want = [(t, w) for t, w in eager.neighbors(v)
+                    if tangent_reference(grid, v, t, (s, d))]
+            assert lazy.neighbors(v) == want, (k, v)
 
 
 def test_lazy_neighbors_match_ground_truth_48():
     """48x48 maps, where the eager graph costs seconds each: neighbour lists
-    of sampled vertices against the ground truth."""
+    of sampled vertices against the ground truth's tangent targets."""
     maps = [_pinch_map(500 + seed, 48) for seed in range(2)]
     maps += [_comb(48, 48), _spiral(48), _corridor(48, 48)]
     rng = random.Random(11)
     for grid in maps:
         gobs = build_obstacle_graph(grid)
-        lazy = LazyVisibilityGraph(gobs, (0, 0), (grid.cols, grid.rows))
+        ends = (0, 0), (grid.cols, grid.rows)
+        lazy = LazyVisibilityGraph(gobs, *ends)
         for v in [(0, 0)] + rng.sample(lazy.vertices, 5):
-            want = [t for t in lazy.vertices
-                    if t != v and brute_force_visible(v, t, grid)]
+            want = [t for t in lazy.vertices if t != v
+                    and tangent_reference(grid, v, t, ends)
+                    and brute_force_visible(v, t, grid)]
             assert [t for t, _ in lazy.neighbors(v)] == want, v
 
 
 def test_lazy_neighbors_match_ground_truth_property():
     """Drawn grids up to 12x12 at drawn densities, drawn endpoints and a
     drawn vertex: its neighbour list is exactly the candidates that
-    :func:`brute_force_visible` says it sees, with Euclidean weights."""
+    :func:`brute_force_visible` says it sees and ``tangent_reference``
+    keeps, with Euclidean weights."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -188,7 +196,8 @@ def test_lazy_neighbors_match_ground_truth_property():
         lazy = LazyVisibilityGraph(gobs, s, d)
         v = data.draw(st.sampled_from(lazy.vertices), label="vertex")
         want = [(t, math.hypot(t[0] - v[0], t[1] - v[1]) * cell)
-                for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)]
+                for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)
+                and tangent_reference(grid, v, t, (s, d))]
         assert lazy.neighbors(v) == want
 
     check()
@@ -208,26 +217,33 @@ def test_lazy_neighbors_near_coord_limit():
     eager = build_visibility_graph(gobs, s, d)
     lazy = LazyVisibilityGraph(gobs, s, d)
     for v in eager.vertices:
-        assert lazy.neighbors(v) == eager.neighbors(v), v
+        want = [(t, w) for t, w in eager.neighbors(v)
+                if tangent_reference(grid, v, t, (s, d))]
+        assert lazy.neighbors(v) == want, v
     for v in (s, d, (cols // 2, 2), (3, 0)):
-        want = [t for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)]
+        want = [t for t in lazy.vertices if t != v and brute_force_visible(v, t, grid)
+                and tangent_reference(grid, v, t, (s, d))]
         assert [t for t, _ in lazy.neighbors(v)] == want, v
 
 
 def test_neighbors_memory_stays_flat_on_a_comb():
     """One-cell walls every other row, attached to a spine on the right: from
     the bottom-left corner every wall below a target stabs it, so the
-    (edge, target) pairs far exceed one expansion block. Peak allocation of
-    one neighbour query stays under a fixed budget."""
-    n = 160
+    (edge, target) pairs far exceed one expansion block. The tangency
+    filter keeps only the targets on top of a wall, about half of them, so
+    the pairs are counted over those. Peak allocation of one neighbour
+    query stays under a fixed budget."""
+    n = 208
     occ = np.zeros((n, n), dtype=bool)
     occ[1:n - 1:2, 1:] = True
     occ[:, n - 1] = True
     grid = OccupancyGrid(n, n, occupied=occ)
     gobs = build_obstacle_graph(grid)
-    lazy = LazyVisibilityGraph(gobs, (0, 0), (0, n))
+    ends = (0, 0), (0, n)
+    lazy = LazyVisibilityGraph(gobs, *ends)
     v = (0, 0)
-    right = [t for t in lazy.vertices if t[0] > 0 and t[1] != 0 and t[0] != abs(t[1])]
+    right = [t for t in lazy.vertices if t[0] > 0 and t[1] != 0 and t[0] != abs(t[1])
+             and tangent_reference(grid, v, t, ends)]
     prep = _PivotPrep(gobs, v)
     slopes = np.sort([t[1] / t[0] for t in right])
     pairs = int((np.searchsorted(slopes, prep.khi, side="left")
@@ -243,7 +259,21 @@ def test_neighbors_memory_stays_flat_on_a_comb():
     assert peak < budget, peak
     seen = {t for t, _ in neighbours}
     for t in random.Random(3).sample(lazy.vertices[1:], 1500):
-        assert (t in seen) == brute_force_visible(v, t, grid), t
+        assert (t in seen) == (tangent_reference(grid, v, t, ends)
+                               and brute_force_visible(v, t, grid)), t
+
+
+def test_neighbors_of_a_non_vertex_raise_in_both_graphs():
+    """A lattice point that is not a candidate has no neighbour list: both
+    graph kinds raise ``KeyError`` rather than answer for another vertex."""
+    grid = OccupancyGrid(4, 4)
+    grid.mark_cells([(1, 1)])
+    gobs = build_obstacle_graph(grid)
+    for make in (build_visibility_graph, LazyVisibilityGraph):
+        gv = make(gobs, (0, 0), (4, 4))
+        for p in ((3, 1), (5, 5), (-1, 0)):
+            with pytest.raises(KeyError):
+                gv.neighbors(p)
 
 
 def test_plan2d_equals_reference():
@@ -254,6 +284,77 @@ def test_plan2d_equals_reference():
             assert got == _outcome(plan2d_reference, grid, s, d), (s, d)
             routed += got is not NoPathError
     assert routed >= 100
+
+
+def test_plan2d_equals_reference_property():
+    """Drawn grids up to 12x12: random cells at a drawn density, solid
+    rectangles, or a checkerboard of diagonal pinches with drawn flips,
+    with drawn endpoints and cell size. ``plan2d`` returns exactly the
+    ``Path`` of ``plan2d_reference``, or raises the same error type."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def outcome(plan, *args):
+        try:
+            return plan(*args)
+        except (NoPathError, InvalidEndpointError) as exc:
+            return type(exc)
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        rows = data.draw(st.integers(1, 12), label="rows")
+        cols = data.draw(st.integers(1, 12), label="cols")
+        kind = data.draw(st.sampled_from(("random", "rectangles", "pinches")), label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if kind == "rectangles":
+            occ = np.zeros((rows, cols), dtype=bool)
+            for _ in range(data.draw(st.integers(1, 4), label="rectangles")):
+                x0, x1 = np.sort(rng.integers(0, cols + 1, size=2))
+                y0, y1 = np.sort(rng.integers(0, rows + 1, size=2))
+                occ[y0:y1, x0:x1] = True
+        else:
+            density = data.draw(st.floats(0.0, 0.7), label="density")
+            occ = rng.random((rows, cols)) < density
+            if kind == "pinches":
+                yy, xx = np.mgrid[0:rows, 0:cols]
+                occ ^= (xx + yy) % 2 == 0
+        grid = OccupancyGrid(rows, cols, data.draw(st.sampled_from(CELL_SIZES)), occ)
+        lattice = st.tuples(st.integers(0, cols), st.integers(0, rows))
+        s = data.draw(lattice, label="source")
+        d = data.draw(lattice, label="dest")
+        assert outcome(plan2d, grid, s, d) == outcome(plan2d_reference, grid, s, d)
+
+    check()
+
+
+def test_plan2d_equals_reference_at_tangency_edge_cases():
+    """Hand-built spots of the tangency filter, each with its known route:
+    a bend at a pinch vertex, a bend at a grid-border vertex whose back
+    cell is off the grid, and a straight pass through two pinch vertices."""
+    def grid(rows, cols, cells):
+        g = OccupancyGrid(rows, cols)
+        g.mark_cells(cells)
+        return g
+
+    cases = [
+        # two walls that meet only at the pinch (3, 3); both segments generic
+        (grid(6, 6, [(0, 2), (1, 2), (2, 2), (3, 3), (4, 3), (5, 3)]),
+         (5, 0), (0, 5), ((5, 0), (3, 3), (0, 5))),
+        # a wall standing on the bottom border: the route flies along the
+        # border under it and bends at (3, 0), whose back cell is off-grid
+        (grid(5, 6, [(2, 0), (2, 1), (2, 2), (2, 3)]),
+         (0, 0), (5, 3), ((0, 0), (3, 0), (5, 3))),
+        # the first segment passes straight through the pinches (2, 1) and
+        # (4, 2), then bends under a hanging wall at (6, 3)
+        (grid(6, 8, [(1, 1), (2, 0), (3, 2), (4, 1), (5, 3), (5, 4), (5, 5)]),
+         (0, 0), (8, 6), ((0, 0), (6, 3), (8, 6))),
+    ]
+    for g, s, d, waypoints in cases:
+        path = plan2d(g, s, d)
+        assert path == plan2d_reference(g, s, d)
+        assert path.waypoints == waypoints
 
 
 def test_astar_keeps_dijkstra_search_order():
