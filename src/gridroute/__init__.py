@@ -25,6 +25,6 @@ from .planner import (MapProvider, PlanConfig, PlaneSlice, StaticMapProvider,
 from .render import render_svg
 from .visibility import (LazyVisibilityGraph, VisibilityGraph,
                          brute_force_visible, build_visibility_graph,
-                         classify_pair, sweep_visible_set)
+                         sweep_visible_set)
 
 __version__ = "0.1.0"

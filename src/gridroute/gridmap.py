@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateObstacleError, MapParseError, OutOfBoundsError
-from .geometry import Point
+from .geometry import Point, cross
 
 RealPoint = tuple[float, float]
 
@@ -136,13 +136,10 @@ def convex_hull(points) -> list[RealPoint]:
     if len(pts) < 3:
         raise DegenerateObstacleError("hull needs at least 3 distinct points")
 
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def half(seq):
         h = []
         for p in seq:
-            while len(h) >= 2 and turn(h[-2], h[-1], p) <= 0:
+            while len(h) >= 2 and cross(h[-2], h[-1], p) <= 0:
                 h.pop()
             h.append(p)
         return h

@@ -7,11 +7,13 @@ edges of occupied cells; an edge shared by two occupied cells is a blocking
 edge: it obstructs collinear lines of sight and may not be flown along.
 
 Everything is built from the occupied cells' coordinates, so memory and
-build time follow the obstacles, not the grid area: the marked set, the
-unmarked vertices in sorted order, flat edge coordinates for the rotational
-sweep, and one sorted index of the lattice features that block axis and
-45-degree lines of sight, which :meth:`ObstacleGraph.clear` searches. The
-vertex list and the per-edge records are built on first access.
+build time follow the obstacles, not the grid area. One table records which
+of each vertex's four cells are occupied; the marked set, the unmarked
+vertices in sorted order with their cells, flat edge coordinates for the
+rotational sweep, and one sorted index of the lattice features that block
+axis and 45-degree lines of sight, which :meth:`ObstacleGraph.clear`
+searches, are masks on it. The vertex list and the per-edge records are
+built on first access.
 """
 
 from __future__ import annotations
@@ -47,6 +49,21 @@ class ObstacleGraph:
     horizontal edges row-major, then all vertical edges row-major.
     Immutable once built.
 
+    Every structure is a mask on one corner table, ``occ[q, i]``: the cell
+    on side ``q = 2 * (s_x > 0) + (s_y > 0)`` of vertex ``i`` is occupied,
+    so cell (x, y) is side 3 of (x, y), 1 of (x + 1, y), 2 of (x, y + 1)
+    and 0 of (x + 1, y + 1), and the opposite side is ``3 - q``.
+
+    * marked: all four sides occupied;
+    * horizontal edge (x, y)-(x + 1, y): side 3 or 2 of (x, y), blocking
+      when both; vertical edge (x, y)-(x, y + 1): side 3 or 1, blocking
+      when both;
+    * left-bottom corners of occupied cells: side 3; left-top: side 2.
+
+    The unmarked vertices keep their columns of the table, in their sorted
+    order, for the tangency filter of
+    :class:`~gridroute.visibility.LazyVisibilityGraph`.
+
     The blocker index is one sorted int64 array of (line, position) keys in
     four families, each family on its own range of lines:
 
@@ -69,6 +86,10 @@ class ObstacleGraph:
             np.concatenate((corner, corner + 1, corner + width, corner + width + 1)),
             return_counts=True)
         self._vy, self._vx = np.divmod(keys, width)
+        # the corner table, numbered as in the class docstring
+        occ = np.zeros((4, len(keys)), dtype=bool)
+        for q, offset in ((3, 0), (1, 1), (2, width), (0, width + 1)):
+            occ[q, np.searchsorted(keys, corner + offset)] = True
         inner = incident == 4
         self.marked: frozenset[Point] = frozenset(
             zip(self._vx[inner].tolist(), self._vy[inner].tolist()))
@@ -76,21 +97,20 @@ class ObstacleGraph:
         ux, uy = self._vx[~inner], self._vy[~inner]
         order = np.lexsort((uy, ux))
         self._ux, self._uy = ux[order], uy[order]
+        self._uocc = occ[:, ~inner][:, order]
 
-        # horizontal edge (x, y)-(x + 1, y) keyed y * cols + x; vertical edge
-        # (x, y)-(x, y + 1) keyed like its lower lattice point
-        keys, hshared = np.unique(
-            np.concatenate((cy * cols + cx, (cy + 1) * cols + cx)), return_counts=True)
-        hy, hx = np.divmod(keys, cols)
-        keys, vshared = np.unique(np.concatenate((corner, corner + 1)), return_counts=True)
-        vy, vx = np.divmod(keys, width)
+        # each family of edges is row-major, like the vertices
+        up = occ[3].astype(np.int64)
+        hshared, vshared = up + occ[2], up + occ[1]
+        h, v = hshared > 0, vshared > 0
+        hx, hy, vx, vy = self._vx[h], self._vy[h], self._vx[v], self._vy[v]
 
         # flat arrays for the sweep and the stabbing kernel, in edge order
         self._eax = np.concatenate((hx, vx))
         self._eay = np.concatenate((hy, vy))
         self._ebx = self._eax + np.concatenate((np.ones_like(hx), np.zeros_like(vx)))
         self._eby = self._eay + np.concatenate((np.zeros_like(hy), np.ones_like(vy)))
-        self._eshared = np.concatenate((hshared, vshared))
+        self._eshared = np.concatenate((hshared[h], vshared[v]))
 
         # key (line + family * span) * stride + position, linear in (x, y)
         # for each family
@@ -98,10 +118,9 @@ class ObstacleGraph:
         self._kx = np.array([stride, 1, stride + 1, stride + 1])
         self._ky = np.array([1, stride, -stride, stride])
         self._k0 = np.array([0, span, 2 * span + rows, 3 * span]) * stride
-        hb, vb = hshared == 2, vshared == 2
-        self._blockers = np.sort(np.concatenate((
-            self._keys(0, vx[vb], vy[vb]), self._keys(1, hx[hb], hy[hb]),
-            self._keys(2, cx, cy), self._keys(3, cx, cy + 1))))
+        family = (occ[3] & occ[1], occ[3] & occ[2], occ[3], occ[2])
+        self._blockers = np.sort(np.concatenate([
+            self._keys(f, self._vx[m], self._vy[m]) for f, m in enumerate(family)]))
 
     def _keys(self, family, x, y):
         """Blocker-index keys of lattice points (x, y) on the line of the

@@ -64,26 +64,6 @@ from .obstacle_graph import ObstacleGraph
 _COORD_LIMIT = 1 << 20
 
 
-def classify_pair(pivot: Point, target: Point) -> str:
-    """Case for a pivot/target pair: vertical, horizontal, diagonal45 or generic.
-
-    The target must lie in the closed right half-plane of the pivot.
-    """
-    dx = target[0] - pivot[0]
-    dy = target[1] - pivot[1]
-    if dx == 0 and dy == 0:
-        raise ValueError("pivot and target coincide")
-    if dx < 0:
-        raise ValueError("target must lie in the closed right half-plane")
-    if dx == 0:
-        return "vertical"
-    if dy == 0:
-        return "horizontal"
-    if dx == abs(dy):
-        return "diagonal45"
-    return "generic"
-
-
 def brute_force_visible(pivot: Point, target: Point, grid: OccupancyGrid) -> bool:
     """Ground-truth intervisibility, checked against every cell of the grid.
 
@@ -306,22 +286,25 @@ def check_endpoints(graph: ObstacleGraph, source: Point, dest: Point) -> None:
             raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
 
 
-def _candidates(graph: ObstacleGraph, source: Point,
-                dest: Point) -> tuple[list[Point], np.ndarray, np.ndarray]:
+def _candidates(graph: ObstacleGraph, source: Point, dest: Point
+                ) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray]:
     """Sorted unmarked obstacle vertices plus both endpoints, with their
-    coordinate arrays, after checking the grid size and the endpoints."""
+    coordinate arrays and their columns of the obstacle graph's corner
+    table (an inserted endpoint's four cells read free), after checking the
+    grid size and the endpoints."""
     grid = graph.grid
     if max(grid.cols, grid.rows) >= _COORD_LIMIT:
         raise ValueError("grid too large for exact slope keys")
     check_endpoints(graph, source, dest)
-    cx, cy = graph._ux, graph._uy
+    cx, cy, occ = graph._ux, graph._uy, graph._uocc
     cand = list(zip(cx.tolist(), cy.tolist()))
     for p in (source, dest):
         i = bisect_left(cand, p)
         if i == len(cand) or cand[i] != p:
             cand.insert(i, p)
             cx, cy = np.insert(cx, i, p[0]), np.insert(cy, i, p[1])
-    return cand, cx, cy
+            occ = np.insert(occ, i, False, axis=1)
+    return cand, cx, cy, occ
 
 
 def _straight_visible(graph: ObstacleGraph, pivot: Point, tx: np.ndarray,
@@ -358,7 +341,7 @@ def build_visibility_graph(graph: ObstacleGraph, source: Point,
     same adjacency on demand, less the generic edges no shortest route
     uses; this builder is its reference and what ``gridroute bench`` times.
     """
-    cand, cx, cy = _candidates(graph, source, dest)
+    cand, cx, cy, _ = _candidates(graph, source, dest)
     p = graph.grid.cell_size_m
     edges = {}
     for i, pivot in enumerate(cand):
@@ -459,8 +442,9 @@ class LazyVisibilityGraph:
     endpoint or ``Q(t, d)`` is free: the segment's line, extended past
     each inner end, enters no occupied cell there. Swapping ``v`` and ``t``
     negates ``d`` and swaps the two tests, so ``u`` lists ``v`` exactly when
-    ``v`` lists ``u``. Each candidate's four quadrant flags are built once
-    per graph, in numpy; the endpoints' flags are all free.
+    ``v`` lists ``u``. Each candidate's four quadrant flags are its column
+    of the obstacle graph's corner table, negated; the endpoints' flags are
+    all free.
 
     *Why the filter is exact.* A segment is visible iff it lies in the
     closed free space ``F``, the plane less the interior of the union of
@@ -499,7 +483,7 @@ class LazyVisibilityGraph:
     """
 
     def __init__(self, graph: ObstacleGraph, source: Point, dest: Point):
-        cand, cx, cy = _candidates(graph, source, dest)
+        cand, cx, cy, occ = _candidates(graph, source, dest)
         self.vertices: tuple[Point, ...] = tuple(cand)
         self.vertex_set = frozenset(cand)
         self.cell_size_m = graph.grid.cell_size_m
@@ -507,16 +491,8 @@ class LazyVisibilityGraph:
         self._cx, self._cy = cx, cy
         # _free[q, i]: the cell at candidate i in quadrant q is free, where
         # q = 2 * (s_x > 0) + (s_y > 0), so the opposite quadrant is 3 - q
-        occ = graph.grid.occupied
-        rows, cols = occ.shape
-        free = np.empty((4, len(cand)), dtype=bool)
-        for q in range(4):
-            col, row = (cx if q & 2 else cx - 1), (cy if q & 1 else cy - 1)
-            inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
-            free[q] = ~(inside & occ[np.clip(row, 0, rows - 1), np.clip(col, 0, cols - 1)])
-        for p in (source, dest):
-            free[:, bisect_left(cand, p)] = True
-        self._free = free
+        self._free = ~occ
+        self._free[:, [bisect_left(cand, source), bisect_left(cand, dest)]] = True
         self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
 
     def neighbors(self, v: Point) -> list[tuple[Point, float]]:

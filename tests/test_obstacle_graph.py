@@ -153,6 +153,11 @@ def test_graph_matches_recount_property():
         assert gobs.vertices == vertices
         assert gobs.marked == marked
         assert gobs.edges == edges
+        # side q = 2 * (s_x > 0) + (s_y > 0) of (x, y) is cell
+        # (x - 1 + (q >> 1), y - 1 + (q & 1)), off-grid cells free
+        assert [tuple(side) for side in gobs._uocc.T.tolist()] == [
+            tuple(grid.is_occupied(x - 1 + (q >> 1), y - 1 + (q & 1)) for q in range(4))
+            for x, y in zip(gobs._ux.tolist(), gobs._uy.tolist())]
 
     check()
 

@@ -10,8 +10,7 @@ from gridroute.mapgen import gen_random_map
 from gridroute.obstacle_graph import build_obstacle_graph
 from gridroute.planner import plan2d
 from gridroute.visibility import (LazyVisibilityGraph, brute_force_visible,
-                                  build_visibility_graph, classify_pair,
-                                  sweep_visible_set)
+                                  build_visibility_graph, sweep_visible_set)
 
 from oracles import oracle_visibility_edges, segment_crosses_open_cell
 
@@ -20,16 +19,6 @@ def _graph_with(cells, rows=6, cols=6):
     g = OccupancyGrid(rows, cols)
     g.mark_cells(cells)
     return g, build_obstacle_graph(g)
-
-
-def test_classify_pair():
-    assert classify_pair((2, 2), (2, 7)) == "vertical"
-    assert classify_pair((2, 2), (5, 5)) == "diagonal45"
-    assert classify_pair((2, 2), (5, 3)) == "generic"
-    assert classify_pair((2, 2), (7, 2)) == "horizontal"
-    assert classify_pair((2, 2), (5, -1)) == "diagonal45"
-    with pytest.raises(ValueError):
-        classify_pair((2, 2), (1, 5))
 
 
 def test_visible_vertical_empty_column():
