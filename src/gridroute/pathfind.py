@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import NoPathError
-from .geometry import Point, cross
+from .geometry import Point, cross, euclid_distance
 from .visibility import LazyVisibilityGraph, VisibilityGraph
 
 
@@ -55,8 +55,7 @@ def merge_collinear(waypoints) -> list[Point]:
 
 def waypoints_length(waypoints, cell_size_m: float) -> float:
     """Length in meters of the polyline through ``waypoints``."""
-    return sum(math.hypot(b[0] - a[0], b[1] - a[1])
-               for a, b in zip(waypoints, waypoints[1:])) * cell_size_m
+    return sum(euclid_distance(a, b) for a, b in zip(waypoints, waypoints[1:])) * cell_size_m
 
 
 def _finish(waypoints: list[Point], cell_size_m: float) -> Path:

@@ -32,7 +32,7 @@ from .geometry import Point
 from .gridmap import OccupancyGrid, occupancy_array, read_header, read_rows, write_rows
 from .obstacle_graph import build_obstacle_graph
 from .pathfind import Path, dijkstra_shortest_path
-from .visibility import LazyVisibilityGraph, build_visibility_graph, check_endpoints
+from .visibility import LazyVisibilityGraph, build_visibility_graph
 
 Point3 = tuple[float, float, float]
 
@@ -57,11 +57,7 @@ class PlanConfig:
 
 def _plan(grid: OccupancyGrid, source: Point, dest: Point, make_graph,
           within_m: float = math.inf) -> Path:
-    gobs = build_obstacle_graph(grid)
-    if source == dest:
-        check_endpoints(gobs, source, dest)
-        return Path((source,), 0.0)
-    gv = make_graph(gobs, source, dest)
+    gv = make_graph(build_obstacle_graph(grid), source, dest)
     return dijkstra_shortest_path(gv, source, dest, _within_m=within_m)
 
 
@@ -72,7 +68,9 @@ def plan2d(grid: OccupancyGrid, source: Point, dest: Point, *,
     Pipeline: obstacle graph, then A* over a lazily decided visibility graph.
     Equal to :func:`plan2d_reference` on every input. Deterministic for
     equal inputs. Source equal to destination, at a point outside every
-    obstacle's interior, yields a zero-length single-waypoint path.
+    obstacle's interior, yields a zero-length single-waypoint path. A grid
+    with a side of 2**20 cells or more raises ``ValueError``, same-endpoint
+    queries included.
     ``_within_m`` is the search's length bound in metres (see
     :func:`~gridroute.pathfind.dijkstra_shortest_path`): a route longer than
     it raises :class:`NoPathError`.
@@ -370,7 +368,8 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
     Returns the winning in-plane path and its angle; the winning plane is
     ``rotated_plane_slice(world, s3, d3, theta)``. Ties prefer the smaller
     angle magnitude, then the positive sign (the candidate generated first).
-    Raises :class:`NoPathError` when no plane admits a route.
+    Raises :class:`NoPathError` when no plane admits a route, and
+    ``ValueError`` when the endpoints coincide or are not finite.
 
     The fan stops at the first plane whose route is the direct segment (two
     waypoints): every plane gives that segment the same length, and ties
@@ -386,8 +385,6 @@ def plan_rotated_planes(world: VoxelWorld, s3: Point3, d3: Point3,
     ``waypoints_length`` of the merged waypoints, which is a plane's length.
     """
     config = config or PlanConfig()
-    if tuple(s3) == tuple(d3):
-        raise ValueError("source and destination coincide")
     best: tuple[Path, float] | None = None
     for theta in plane_angles(config):
         within_m = math.inf if best is None else best[0].length_m * (1 + _LENGTH_MARGIN)

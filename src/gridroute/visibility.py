@@ -134,22 +134,24 @@ class _PivotPrep:
     def __init__(self, graph: ObstacleGraph, pivot: Point):
         px, py = pivot
         eax, eay, ebx, eby = graph._eax, graph._eay, graph._ebx, graph._eby
-        side = np.where((eax >= px) & (ebx >= px), 1, -1)
+        # an edge's a is its lower-left end, so the edge lies on a's side
+        side = np.where(eax >= px, 1, -1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ka = (side * (eay - py)) / (side * (eax - px))
             kb = (side * (eby - py)) / (side * (ebx - px))
-        # the pivot's own edges and edges along a pivot ray never block a
-        # generic target
-        keep = (ka != kb) & ~(((eax == px) & (eay == py)) | ((ebx == px) & (eby == py)))
+        # edges along a pivot ray (equal slopes) and the pivot's own edges
+        # (a NaN slope) compare neither way and never block a generic target
+        a_high = ka > kb
+        keep = a_high | (ka < kb)
         right = keep & (side > 0)
         idx = np.concatenate((np.nonzero(right)[0], np.nonzero(keep & ~right)[0]))
         self.nright = int(np.count_nonzero(right))
         ax, ay, bx, by = eax[idx], eay[idx], ebx[idx], eby[idx]
         ka, kb = ka[idx], kb[idx]
         self.ax, self.ay, self.bx, self.by = ax, ay, bx, by
-        self.a_high = ka > kb
-        self.khi = np.where(self.a_high, ka, kb)
-        self.klo = np.where(self.a_high, kb, ka)
+        self.a_high = a_high = a_high[idx]
+        self.khi = np.where(a_high, ka, kb)
+        self.klo = np.where(a_high, kb, ka)
         self.op = np.sign((bx - ax) * (py - ay) - (by - ay) * (px - ax))
 
 
@@ -276,35 +278,32 @@ class VisibilityGraph:
         return f"VisibilityGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def check_endpoints(graph: ObstacleGraph, source: Point, dest: Point) -> None:
-    """Raise :class:`InvalidEndpointError` unless both endpoints are corner
-    lattice points outside every obstacle's interior."""
-    for name, p in (("source", source), ("destination", dest)):
-        if not graph.grid.in_lattice(p):
-            raise InvalidEndpointError(f"{name} {p} outside the corner lattice")
-        if p in graph.marked:
-            raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
-
-
 def _candidates(graph: ObstacleGraph, source: Point, dest: Point
                 ) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray]:
     """Sorted unmarked obstacle vertices plus both endpoints, with their
-    coordinate arrays and their columns of the obstacle graph's corner
-    table (an inserted endpoint's four cells read free), after checking the
-    grid size and the endpoints."""
+    coordinate arrays and the tangency filter's flags ``free[q, i]``: the
+    obstacle graph's corner table negated, with each endpoint's four cells
+    free. Checks the grid size, then that both endpoints are corner lattice
+    points outside every obstacle's interior."""
     grid = graph.grid
     if max(grid.cols, grid.rows) >= _COORD_LIMIT:
         raise ValueError("grid too large for exact slope keys")
-    check_endpoints(graph, source, dest)
-    cx, cy, occ = graph._ux, graph._uy, graph._uocc
+    for name, p in (("source", source), ("destination", dest)):
+        if not grid.in_lattice(p):
+            raise InvalidEndpointError(f"{name} {p} outside the corner lattice")
+        if p in graph.marked:
+            raise InvalidEndpointError(f"{name} {p} is interior to an obstacle")
+    cx, cy, free = graph._ux, graph._uy, ~graph._uocc
     cand = list(zip(cx.tolist(), cy.tolist()))
     for p in (source, dest):
         i = bisect_left(cand, p)
-        if i == len(cand) or cand[i] != p:
+        if i < len(cand) and cand[i] == p:
+            free[:, i] = True
+        else:
             cand.insert(i, p)
             cx, cy = np.insert(cx, i, p[0]), np.insert(cy, i, p[1])
-            occ = np.insert(occ, i, False, axis=1)
-    return cand, cx, cy, occ
+            free = np.insert(free, i, True, axis=1)
+    return cand, cx, cy, free
 
 
 def _straight_visible(graph: ObstacleGraph, pivot: Point, tx: np.ndarray,
@@ -442,9 +441,9 @@ class LazyVisibilityGraph:
     endpoint or ``Q(t, d)`` is free: the segment's line, extended past
     each inner end, enters no occupied cell there. Swapping ``v`` and ``t``
     negates ``d`` and swaps the two tests, so ``u`` lists ``v`` exactly when
-    ``v`` lists ``u``. Each candidate's four quadrant flags are its column
-    of the obstacle graph's corner table, negated; the endpoints' flags are
-    all free.
+    ``v`` lists ``u``. The flags, ``_free[q, i]`` for ``Q`` of candidate
+    ``i`` in quadrant ``q = 2 * (s_x > 0) + (s_y > 0)`` (opposite ``3 - q``),
+    come from :func:`_candidates`, which frees each endpoint's four cells.
 
     *Why the filter is exact.* A segment is visible iff it lies in the
     closed free space ``F``, the plane less the interior of the union of
@@ -483,16 +482,11 @@ class LazyVisibilityGraph:
     """
 
     def __init__(self, graph: ObstacleGraph, source: Point, dest: Point):
-        cand, cx, cy, occ = _candidates(graph, source, dest)
+        cand, self._cx, self._cy, self._free = _candidates(graph, source, dest)
         self.vertices: tuple[Point, ...] = tuple(cand)
         self.vertex_set = frozenset(cand)
         self.cell_size_m = graph.grid.cell_size_m
         self._graph = graph
-        self._cx, self._cy = cx, cy
-        # _free[q, i]: the cell at candidate i in quadrant q is free, where
-        # q = 2 * (s_x > 0) + (s_y > 0), so the opposite quadrant is 3 - q
-        self._free = ~occ
-        self._free[:, [bisect_left(cand, source), bisect_left(cand, dest)]] = True
         self._adjacency: dict[Point, list[tuple[Point, float]]] = {}
 
     def neighbors(self, v: Point) -> list[tuple[Point, float]]:

@@ -17,7 +17,7 @@ from gridroute.planner import (PlanConfig, StaticMapProvider, VoxelWorld,
                                plan_rotated_planes, plan_with_stops,
                                plane_angles, rotated_plane_slice,
                                serialize_voxels)
-from gridroute.visibility import LazyVisibilityGraph, build_visibility_graph
+from gridroute.visibility import _COORD_LIMIT, LazyVisibilityGraph, build_visibility_graph
 
 from oracles import fan_reference, min_simple_path_length, oracle_visibility_graph
 
@@ -131,9 +131,25 @@ def test_plan_rejects_non_integer_endpoints():
                 plan(grid, bad, (4, 4))
             with pytest.raises(InvalidEndpointError):
                 plan(grid, (0, 0), bad)
+            with pytest.raises(InvalidEndpointError):
+                plan(grid, bad, bad)
         with pytest.raises(InvalidEndpointError):
             plan_with_stops(StaticMapProvider(grid), (0, 0), (4, 4), [bad])
     assert plan2d(grid, (np.int64(0), np.int64(1)), (4, 4)) == plan2d(grid, (0, 1), (4, 4))
+
+
+def test_grid_at_coord_limit_is_rejected():
+    """A side of 2**20 cells is past the exact slope keys, for a
+    same-endpoint query too."""
+    grid = OccupancyGrid(1, _COORD_LIMIT)
+    gobs = build_obstacle_graph(grid)
+    for s, d in (((0, 0), (5, 1)), ((3, 1), (3, 1))):
+        for plan in (plan2d, planner.plan2d_reference):
+            with pytest.raises(ValueError, match="grid too large"):
+                plan(grid, s, d)
+        for make in (LazyVisibilityGraph, build_visibility_graph):
+            with pytest.raises(ValueError, match="grid too large"):
+                make(gobs, s, d)
 
 
 def test_plan_with_stops_rejects_endpoint_stop():
@@ -261,6 +277,13 @@ def test_fan_length_never_beats_its_zero_plane():
     fan, _ = plan_rotated_planes(world, s3, d3, PlanConfig())
     only0, _ = plan_rotated_planes(world, s3, d3, PlanConfig(plane_count=1))
     assert fan.length_m <= only0.length_m + 1e-12
+
+
+def test_plane_fan_rejects_coincident_endpoints():
+    world = VoxelWorld(3, 3, 3)
+    for p in ((1.5, 1.5, 1.5), (0.0, 1.5, math.inf), (math.nan, 1.5, 1.5)):
+        with pytest.raises(ValueError):
+            plan_rotated_planes(world, p, p)
 
 
 def test_plane_fan_rejects_wide_angles():
